@@ -381,6 +381,24 @@ class FieldElement:
         return f"{self.index}@GF({self.field.q})"
 
 
+def reduce_against(vec: list[int], basis: Sequence[tuple[int, Sequence[int]]],
+                   field: Field) -> int:
+    """Reduce `vec` in place against `basis`, (pivot, vector) pairs sorted by
+    pivot with each vector 0 before and 1 at its pivot.  Returns the first
+    nonzero position left, or -1 when `vec` lies in the span."""
+    sub, mul = field.sub, field.mul
+    for p, b in basis:
+        c = vec[p]
+        if c:
+            for t in range(p, len(b)):
+                if b[t]:
+                    vec[t] = sub(vec[t], mul(c, b[t]))
+    for t in range(len(vec)):
+        if vec[t]:
+            return t
+    return -1
+
+
 @dataclass(frozen=True)
 class RrefResult:
     reduced: "Matrix"

@@ -16,19 +16,21 @@ Closed-form material implemented here, with (n, k, r, q) integer inputs:
 * field-size-aware bounds via analytic surrogates for the best possible
   distance/dimension (minimum of the Singleton and Griesmer bounds).
 
-``certify_optimal`` computes the exact locality, both hierarchies and all
-claim verdicts for a code, and reports whether the code is distance-optimal
-for its locality.
+``certify_optimal`` computes the exact locality and hierarchy of a code,
+derives the dual hierarchy by Wei duality (V. K. Wei, IEEE Trans. IT 37(5),
+1991), evaluates every claim, and reports whether the code is
+distance-optimal for its locality.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Sequence
 
-from .code import LinearCode
-from .ghw import DEFAULT_LIMIT_N, dual_hierarchy_values, weight_hierarchy
-from .locality import LocalityProfile, is_lrc, locality
+from .code import LinearCode, SubcodeWitness
+from .ghw import DEFAULT_LIMIT_N, _deadline, _guard, weight_hierarchy
+from .locality import LocalityProfile, locality
 
 CLAIM_IDS = (
     "eq1", "thm1", "lem1", "lem2", "lem3", "lem4",
@@ -341,6 +343,7 @@ class BoundReport:
     generalized_rows: tuple[dict, ...]
     dual_rows: tuple[dict, ...]
     verdicts: tuple[ClaimVerdict, ...]
+    witnesses: dict[int, SubcodeWitness] | None = None
 
     @property
     def violated_claims(self) -> tuple[str, ...]:
@@ -373,24 +376,27 @@ def certify_optimal(code: LinearCode, *, promised_r: int | None = None,
 
     ``promised_r`` evaluates the claims at a caller-supplied locality
     parameter instead of the computed one; it must be a genuine upper
-    bound on the exact locality.
+    bound on the exact locality.  ``time_limit`` bounds the whole run.
     """
     n, k, q = code.n, code.k, code.field.q
-    profile = locality(code)
+    _guard(code, limit_n)
+    deadline = _deadline(time_limit)
+    profile = locality(code, _deadline=deadline)
     if promised_r is not None:
         if not 1 <= promised_r <= k:
             raise ValueError(f"promised locality r={promised_r} outside 1..k={k}")
-        if not is_lrc(code, promised_r):
+        if promised_r < profile.r:
             raise ValueError(f"promised locality r={promised_r} is below the "
                              f"exact locality {profile.r}")
         r = promised_r
     else:
         r = profile.r
 
-    primal = weight_hierarchy(code, with_witnesses=with_witnesses,
-                              limit_n=limit_n, time_limit=time_limit)
-    dual_values = dual_hierarchy_values(code, limit_n=limit_n, time_limit=time_limit)
-    dual_gaps = tuple(sorted(set(range(1, n + 1)) - set(dual_values)))
+    remaining = None if deadline is None else deadline - time.monotonic()
+    primal = weight_hierarchy(code, with_witnesses=with_witnesses, limit_n=limit_n,
+                              time_limit=remaining)
+    dual_gaps = tuple(sorted(n + 1 - d_i for d_i in primal.values))  # Wei duality
+    dual_values = tuple(sorted(set(range(1, n + 1)) - set(dual_gaps)))
     d = primal.values[0]
     mu, rho = mu_rho(dual_values, n, k, d1=d)
     eq1_value = singleton_like_bound(n, k, r)
@@ -515,7 +521,7 @@ def certify_optimal(code: LinearCode, *, promised_r: int | None = None,
         singleton_like=eq1_value,
         primal_hierarchy=primal.values,
         primal_gaps=primal.gaps,
-        dual_hierarchy=tuple(dual_values),
+        dual_hierarchy=dual_values,
         dual_gaps=dual_gaps,
         locality_profile=profile,
         mu=mu, rho=rho,
@@ -523,4 +529,5 @@ def certify_optimal(code: LinearCode, *, promised_r: int | None = None,
         generalized_rows=generalized_rows,
         dual_rows=dual_rows,
         verdicts=tuple(verdicts),
+        witnesses=primal.witnesses,
     )

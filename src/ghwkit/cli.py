@@ -20,6 +20,7 @@ import sys
 import time
 from typing import Sequence
 
+from .algebra import MAX_FIELD_SIZE
 from .bounds import BoundReport, certify_optimal
 from .code import CodeValidationError, LinearCode
 from .constructions import (
@@ -29,7 +30,7 @@ from .constructions import (
     reed_solomon_spec,
     tamo_barg_spec,
 )
-from .ghw import DEFAULT_LIMIT_N, LimitError, weight_hierarchy
+from .ghw import DEFAULT_LIMIT_N, LimitError
 from .suites import DEFAULT_COUNT, DEFAULT_SEED, SUITES, run_suite
 
 EXIT_OK = 0
@@ -68,6 +69,8 @@ def parse_code_file(text: str) -> LinearCode:
         q = int(tokens[1])
     except (IndexError, ValueError):
         raise CodeFileError(f"line {lineno}: expected 'q <int>'") from None
+    if q > MAX_FIELD_SIZE:
+        raise CodeFileError(f"line {lineno}: field size {q} exceeds {MAX_FIELD_SIZE}")
     modulus = None
     if len(tokens) > 2:
         if tokens[2] != "modulus":
@@ -191,7 +194,7 @@ def analysis_report(code: LinearCode, *, promised_r: int | None = None,
     function of the code file."""
     t0 = time.perf_counter()
     report = certify_optimal(code, promised_r=promised_r, limit_n=limit_n,
-                             time_limit=time_limit)
+                             time_limit=time_limit, with_witnesses=with_witnesses)
     field = code.field
     out: dict = {
         "params": {
@@ -219,15 +222,13 @@ def analysis_report(code: LinearCode, *, promised_r: int | None = None,
         "is_optimal": report.is_optimal,
     }
     if with_witnesses:
-        hier = weight_hierarchy(code, with_witnesses=True, limit_n=limit_n,
-                                time_limit=time_limit)
         out["witnesses"] = {
             str(i): {
                 "support": [j + 1 for j in w.support],  # 1-based coordinates
                 "dimension": w.dimension,
                 "basis": [list(vec) for vec in w.basis],
             }
-            for i, w in sorted(hier.witnesses.items())
+            for i, w in sorted(report.witnesses.items())
         }
     out["timings"] = {"analyze_ms": round((time.perf_counter() - t0) * 1000, 3)}
     return out
@@ -348,14 +349,11 @@ def build_parser() -> argparse.ArgumentParser:
                       help="include witness subcodes for each hierarchy value")
     p_an.add_argument("--limit-n", type=int, default=DEFAULT_LIMIT_N,
                       dest="limit_n", help="hierarchy enumeration limit on n")
-    p_an.add_argument("--limit-oracle", type=int, default=10**6,
-                      dest="limit_oracle",
-                      help="q^k limit for oracle-based checks (reserved)")
     p_an.add_argument("--promised-r", type=int, default=None, dest="promised_r",
                       help="evaluate claims at this locality parameter instead "
                            "of the computed one (must be an upper bound)")
     p_an.add_argument("--time-limit", type=float, default=None, dest="time_limit",
-                      help="wall-time guard in seconds for the hierarchy sweeps")
+                      help="wall-time guard in seconds for the whole analysis")
     p_an.set_defaults(func=cmd_analyze)
 
     p_co = sub.add_parser("construct", help="construct a fixture code file")

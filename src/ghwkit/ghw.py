@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterator, Sequence
 
-from .algebra import Matrix
+from .algebra import Matrix, reduce_against
 from .code import LinearCode, SubcodeWitness
 
 DEFAULT_LIMIT_N = 24
@@ -40,11 +40,7 @@ class LimitError(RuntimeError):
 # Subset-rank sweep
 
 
-def _column_vectors(mat: Matrix) -> list[tuple[int, ...]]:
-    return [mat.column(j) for j in range(mat.ncols)]
-
-
-def _max_excess_for_size(cols, m, s, need, fld, deadline):
+def _max_excess_for_size(cols, s, need, fld, deadline):
     """Maximum of |S| - rank(columns S) over |S| = s, with its first argmax.
 
     Values below `need` are not distinguished (they are pruned); the return
@@ -53,7 +49,7 @@ def _max_excess_for_size(cols, m, s, need, fld, deadline):
     n = len(cols)
     best = need - 1
     best_subset: tuple[int, ...] | None = None
-    sub, mul, inv = fld.sub, fld.mul, fld.inv
+    mul, inv = fld.mul, fld.inv
     basis: list[tuple[int, list[int]]] = []
     chosen: list[int] = []
     ticks = [0]
@@ -66,17 +62,7 @@ def _max_excess_for_size(cols, m, s, need, fld, deadline):
         last = n - remaining
         for j in range(start, last + 1):
             vec = list(cols[j])
-            for p, b in basis:
-                c = vec[p]
-                if c:
-                    for t in range(p, m):
-                        if b[t]:
-                            vec[t] = sub(vec[t], mul(c, b[t]))
-            piv = -1
-            for t in range(m):
-                if vec[t]:
-                    piv = t
-                    break
+            piv = reduce_against(vec, basis, fld)
             new_rank = len(basis) + (piv >= 0)
             if s - new_rank <= best:
                 continue
@@ -106,15 +92,14 @@ def _sweep_hierarchy(check: Matrix, dims: int, *, collect_subsets: bool,
                      deadline: float | None):
     """All d_1..d_dims for the code with the given check matrix."""
     n = check.ncols
-    m = check.nrows
-    cols = _column_vectors(check)
+    cols = check.columns()
     values: list[int] = [0] * (dims + 1)
     subsets: dict[int, tuple[int, ...]] = {}
     i_min = 1
     for s in range(1, n + 1):
         if i_min > dims:
             break
-        best, best_subset = _max_excess_for_size(cols, m, s, i_min, check.field, deadline)
+        best, best_subset = _max_excess_for_size(cols, s, i_min, check.field, deadline)
         if best >= i_min:
             for i in range(i_min, best + 1):
                 values[i] = s
@@ -181,10 +166,9 @@ def ghw(code: LinearCode, i: int, *, with_witness: bool = True,
         raise ValueError(f"index i={i} outside 1..k={code.k}")
     _guard(code, limit_n)
     deadline = _deadline(time_limit)
-    cols = _column_vectors(code.check)
-    m = code.check.nrows
+    cols = code.check.columns()
     for s in range(i, code.n + 1):
-        best, best_subset = _max_excess_for_size(cols, m, s, i, code.field, deadline)
+        best, best_subset = _max_excess_for_size(cols, s, i, code.field, deadline)
         if best >= i:
             witness = _witness_from_subset(code, best_subset) if with_witness else None
             return s, witness

@@ -203,8 +203,13 @@ def run_lemmas(seed: int = DEFAULT_SEED, count: int = DEFAULT_COUNT) -> SuiteRes
         for v in report.verdicts:
             if v.violated and v.claim not in unconditional:
                 result.failures.append(f"{label}: {v.claim} violated")
-        _universal_checks(label, code, report.d, report.dual_hierarchy,
-                          report.r, result)
+        # certify_optimal derives the dual hierarchy from the primal one by
+        # Wei duality; the independent dual sweep keeps a cross-check here.
+        dual_values = dual_hierarchy_values(code)
+        if report.dual_hierarchy != dual_values:
+            result.failures.append(f"{label}: Wei-derived dual hierarchy "
+                                   f"{report.dual_hierarchy} != dual sweep {dual_values}")
+        _universal_checks(label, code, report.d, dual_values, report.r, result)
     result.elapsed = time.monotonic() - t0
     return result
 

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,7 +23,8 @@ from ghwkit.bounds import (
     singleton_like_bound,
 )
 from ghwkit.constructions import random_code, reed_solomon, tamo_barg
-from ghwkit.ghw import dual_hierarchy_values, weight_hierarchy
+from ghwkit.ghw import LimitError, dual_hierarchy_values, weight_hierarchy
+from ghwkit.locality import UncoverableCoordinateError
 
 KNOWN_PRIMAL_12_6_3 = (6, 7, 8, 10, 11, 12)
 KNOWN_DUAL_12_6_3 = (4, 8, 9, 10, 11, 12)
@@ -335,3 +338,33 @@ class TestCertifyOptimal:
         assert report.locality_profile.per_coordinate == (0, 1, 1)
         assert report.r == 1 and report.d == 2
         assert report.all_hold
+
+    def test_length_guard_runs_before_locality(self):
+        code = reed_solomon(32, 30, 15)
+        start = time.monotonic()
+        with pytest.raises(LimitError, match="exceeds enumeration limit"):
+            certify_optimal(code, time_limit=2.0)
+        assert time.monotonic() - start < 1.0
+
+    def test_time_limit_stops_the_locality_search(self):
+        code = reed_solomon(32, 24, 12)
+        start = time.monotonic()
+        with pytest.raises(LimitError, match="locality search"):
+            certify_optimal(code, time_limit=1.0)
+        assert time.monotonic() - start < 5.0
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_wei_derived_dual_hierarchy_matches_the_dual_sweep(data):
+    q = data.draw(st.sampled_from([2, 3, 4]))
+    n = data.draw(st.integers(3, 10))
+    k = data.draw(st.integers(1, n - 1))
+    code = random_code(q, n, k, data.draw(st.integers(0, 2**32)))
+    try:
+        report = certify_optimal(code)
+    except UncoverableCoordinateError:
+        return
+    dual = dual_hierarchy_values(code)
+    assert report.dual_hierarchy == dual
+    assert report.dual_gaps == tuple(sorted(set(range(1, n + 1)) - set(dual)))

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -57,6 +58,15 @@ class TestParseCodeFile:
     def test_invalid_field(self):
         with pytest.raises(CodeFileError, match="invalid field"):
             parse_code_file("q 6\nn 2\nk 1\n1 1\n")
+
+    def test_huge_field_size_rejected_before_factoring(self, tmp_path, capsys):
+        path = tmp_path / "huge.code"
+        path.write_text("q 1000000000000000003\nn 2\nk 1\n1 1\n")
+        start = time.monotonic()
+        assert main(["analyze", str(path)]) == EXIT_USAGE
+        assert time.monotonic() - start < 1.0
+        err = capsys.readouterr().err
+        assert "line 1: field size" in err and "Traceback" not in err
 
     def test_modulus_on_prime_field_rejected(self):
         with pytest.raises(CodeFileError, match="invalid field"):

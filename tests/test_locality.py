@@ -1,18 +1,23 @@
+import re
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ghwkit.algebra import Matrix
 from ghwkit.code import CodeValidationError, LinearCode, hamming_weight, support
-from ghwkit.constructions import random_code, reed_solomon
+from ghwkit.constructions import field_for_order, random_code, reed_solomon
 from ghwkit.locality import (
     UncoverableCoordinateError,
-    _localities_by_dual_enum,
-    _min_cover_subset,
+    _WORDS_PER_NODE,
+    _cover_search,
+    _cover_word,
     coordinate_locality,
     covering_rows,
     is_lrc,
     locality,
 )
+from oracles import dual_enum_locality
 
 
 class TestCoordinateLocality:
@@ -144,37 +149,82 @@ def test_locality_invariants(data):
         assert all(v == 0 for v in Matrix(code.field, [row]).mat_mul(g_t).rows[0])
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_enum_and_subset_paths_agree(data):
-    """The dual-enumeration shortcut and the ascending support-size search
-    are behaviorally identical."""
-    q = data.draw(st.sampled_from([2, 3]))
+    """The cover search matches dual-word enumeration: per-coordinate
+    localities, covering rows, `is_lrc` and the uncoverable coordinates, also
+    over GF(4) and on duals that miss a coordinate (zero_coordinates).  The
+    search runs as the DFS alone (0), as the walk over the dual alone
+    (2^62), and with the default switch between them."""
+    words_per_node = data.draw(st.sampled_from([0, 1 << 62, _WORDS_PER_NODE]))
+    with mock.patch("ghwkit.locality._WORDS_PER_NODE", words_per_node):
+        _check_against_dual_enum(data)
+
+
+def _check_against_dual_enum(data):
+    q = data.draw(st.sampled_from([2, 3, 4]))
     n = data.draw(st.integers(3, 8))
     k = data.draw(st.integers(1, n - 1))
     seed = data.draw(st.integers(0, 2**32))
     code = random_code(q, n, k, seed)
-    enum = _localities_by_dual_enum(code)
-    for j in range(n):
-        subset = _min_cover_subset(code, j, min(code.n, code.k + 1))
-        if enum[j] is None:
-            assert subset is None
+    if k < n - 1 and data.draw(st.booleans()):
+        # the dual of a code holding e_j is zero at coordinate j
+        j = data.draw(st.integers(0, n - 1))
+        unit = [1 if c == j else 0 for c in range(n)]
+        code = LinearCode(code.field, [*code.generator.rows, unit]).dual()
+        assert j in code.zero_coordinates
+    localities, rows = dual_enum_locality(code)
+    for j, expected in enumerate(localities):
+        if expected is None:
+            with pytest.raises(UncoverableCoordinateError):
+                coordinate_locality(code, j)
         else:
-            assert subset is not None and len(subset) - 1 == enum[j]
+            assert coordinate_locality(code, j) == expected
+    bad = [j + 1 for j, x in enumerate(localities) if x is None]
+    if bad:
+        message = f"coordinate(s) {bad} lie in no dual codeword support"
+        with pytest.raises(UncoverableCoordinateError, match=re.escape(message)):
+            locality(code)
+        return
+    prof = locality(code)
+    assert list(prof.per_coordinate) == localities
+    assert list(prof.covering_rows) == rows
+    assert covering_rows(code, prof.r) == rows
+    for r in range(1, code.k + 1):
+        assert is_lrc(code, r) == (max(localities) <= r)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: LinearCode(field_for_order(2), [[1 if c in (i, 19) else 0 for c in range(20)]
+                                            for i in range(19)]),
+    lambda: reed_solomon(32, 20, 18),
+    lambda: random_code(2, 18, 15, seed=1),
+], ids=["single-parity-20", "rs-32-20-18", "random-2-18-15-seed1"])
+def test_high_rate_codes_walk_the_small_dual(make):
+    """Covers of high-rate codes are large, so the DFS alone would visit
+    about 2^(n-1) column sets per coordinate; walking the few dual words
+    gives the same answer at once."""
+    code = make()
+    localities, rows = dual_enum_locality(code)
+    prof = locality(code)
+    assert list(prof.per_coordinate) == localities
+    assert list(prof.covering_rows) == rows
+    assert is_lrc(code, prof.r) and not is_lrc(code, prof.r - 1)
+    assert coordinate_locality(code, code.n - 1) == localities[-1]
 
 
 def test_localities_witnessed_by_actual_dual_words(lrc_12_6_3):
     """Each per-coordinate locality is materialized by a real dual codeword:
     weight r_j + 1, nonzero at j, orthogonal to the generator."""
-    from ghwkit.locality import _extract_cover_word
-
     code = lrc_12_6_3
     prof = locality(code)
     g_t = code.generator.transpose()
+    cover = _cover_search(code, prof.r)
     for j, rj in enumerate(prof.per_coordinate):
-        subset = _min_cover_subset(code, j, rj + 1)
+        subset = cover(j)
         assert subset is not None and len(subset) == rj + 1
-        word = _extract_cover_word(code, subset, j)
+        word = _cover_word(code, subset, j)
         assert word[j] != 0
         assert hamming_weight(word) == rj + 1
         assert all(v == 0 for v in Matrix(code.field, [word]).mat_mul(g_t).rows[0])
