@@ -1,0 +1,99 @@
+"""Golden corpus: `analyze --json` reports held byte-identical across changes.
+
+Each case names a code file under tests/golden/, the extra `analyze`
+arguments and the expected exit code.  The expected output sits next to the
+code file: `<case>.json` holds the report with `timings` removed (the only
+section that may differ between runs), `<case>.err` the error output of a
+refused code.  A case marked `dual` analyzes the dual of the code in its
+file, a code that misses a coordinate (`zero_coordinates`) and so cannot be
+written as a code file itself.
+
+A diff is a bug in the change, not in the golden file.  To add a case, add
+it to CASES and write its missing outputs, from a checkout of the commit the
+case should pin, with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+which never overwrites an existing output.
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from ghwkit.cli import analysis_report, main, parse_code_file
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# case -> (code file stem, extra analyze arguments, exit code, dual)
+CASES = {
+    "gf2_14_6": ("gf2_14_6", [], 0, False),
+    "gf2_14_6_witnesses": ("gf2_14_6", ["--witnesses"], 0, False),
+    "gf2_15_8": ("gf2_15_8", [], 0, False),
+    "gf2_16_7_witnesses": ("gf2_16_7", ["--witnesses"], 0, False),
+    "gf2_17_9": ("gf2_17_9", [], 0, False),
+    "gf2_18_8": ("gf2_18_8", [], 0, False),
+    "tamo_barg_13_12_6_3": ("tamo_barg_13_12_6_3", [], 0, False),
+    "tamo_barg_13_12_6_3_promised_r4": ("tamo_barg_13_12_6_3", ["--promised-r", "4"],
+                                        0, False),
+    "tamo_barg_13_12_5_3": ("tamo_barg_13_12_5_3", [], 0, False),
+    "reed_solomon_13_12_5": ("reed_solomon_13_12_5", [], 0, False),
+    "gf3_10_5": ("gf3_10_5", [], 0, False),
+    "gf4_9_4": ("gf4_9_4", [], 0, False),
+    "gf9_8_4": ("gf9_8_4", [], 0, False),
+    "coloop_gf2_14_7": ("coloop_gf2_14_7", [], 1, False),
+    "coloop_gf2_14_7_dual_witnesses": ("coloop_gf2_14_7", ["--witnesses"], 0, True),
+}
+
+
+def comparable(report: dict) -> str:
+    report = dict(report)
+    report.pop("timings")
+    return json.dumps(report, indent=2) + "\n"
+
+
+def run_case(name: str) -> tuple[int, str, str]:
+    """(exit code, output text, suffix of the golden file) for one case."""
+    stem, args, _, dual = CASES[name]
+    path = GOLDEN / f"{stem}.code"
+    if dual:
+        code = parse_code_file(path.read_text()).dual()
+        report = analysis_report(code, with_witnesses="--witnesses" in args)
+        return 0, comparable(report), ".json"
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = main(["analyze", str(path), "--json", *args])
+    if rc == 1:
+        return rc, err.getvalue(), ".err"
+    return rc, comparable(json.loads(out.getvalue())), ".json"
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_matches_golden(name):
+    rc, text, suffix = run_case(name)
+    assert rc == CASES[name][2]
+    assert text == (GOLDEN / f"{name}{suffix}").read_text()
+
+
+def test_dual_case_has_zero_coordinates():
+    stem = CASES["coloop_gf2_14_7_dual_witnesses"][0]
+    code = parse_code_file((GOLDEN / f"{stem}.code").read_text())
+    assert code.dual().zero_coordinates == (0,)
+
+
+if __name__ == "__main__":
+    for case in sorted(CASES):
+        rc, text, suffix = run_case(case)
+        if rc != CASES[case][2]:
+            sys.exit(f"{case}: exit {rc}, expected {CASES[case][2]}")
+        target = GOLDEN / f"{case}{suffix}"
+        if target.exists():
+            continue
+        target.write_text(text)
+        print(f"wrote {target.relative_to(GOLDEN.parent.parent)}")
