@@ -25,7 +25,7 @@ distance-optimal for its locality.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .code import LinearCode, SubcodeWitness
@@ -344,6 +344,8 @@ class BoundReport:
     dual_rows: tuple[dict, ...]
     verdicts: tuple[ClaimVerdict, ...]
     witnesses: dict[int, SubcodeWitness] | None = None
+    # Wall time of each phase in ms ("locality", "hierarchy"); not compared.
+    timings: dict[str, float] = field(default_factory=dict, compare=False)
 
     @property
     def violated_claims(self) -> tuple[str, ...]:
@@ -370,18 +372,24 @@ def _first_failure(pairs) -> int | None:
 def certify_optimal(code: LinearCode, *, promised_r: int | None = None,
                     limit_n: int = DEFAULT_LIMIT_N,
                     time_limit: float | None = None,
-                    with_witnesses: bool = False) -> BoundReport:
+                    with_witnesses: bool = False,
+                    profile: LocalityProfile | None = None) -> BoundReport:
     """Full certification of one code: exact locality, both hierarchies,
     every claim verdict, and the optimality decision d = eq1 value.
 
     ``promised_r`` evaluates the claims at a caller-supplied locality
     parameter instead of the computed one; it must be a genuine upper
     bound on the exact locality.  ``time_limit`` bounds the whole run.
+    ``profile`` is the code's `locality` result when the caller has it
+    already; the locality search is then skipped.
     """
     n, k, q = code.n, code.k, code.field.q
     _guard(code, limit_n)
     deadline = _deadline(time_limit)
-    profile = locality(code, _deadline=deadline)
+    t0 = time.perf_counter()
+    if profile is None:
+        profile = locality(code, _deadline=deadline)
+    t1 = time.perf_counter()
     if promised_r is not None:
         if not 1 <= promised_r <= k:
             raise ValueError(f"promised locality r={promised_r} outside 1..k={k}")
@@ -393,8 +401,10 @@ def certify_optimal(code: LinearCode, *, promised_r: int | None = None,
         r = profile.r
 
     remaining = None if deadline is None else deadline - time.monotonic()
+    t2 = time.perf_counter()
     primal = weight_hierarchy(code, with_witnesses=with_witnesses, limit_n=limit_n,
                               time_limit=remaining)
+    timings = {"locality": (t1 - t0) * 1000, "hierarchy": (time.perf_counter() - t2) * 1000}
     dual_gaps = tuple(sorted(n + 1 - d_i for d_i in primal.values))  # Wei duality
     dual_values = tuple(sorted(set(range(1, n + 1)) - set(dual_gaps)))
     d = primal.values[0]
@@ -530,4 +540,5 @@ def certify_optimal(code: LinearCode, *, promised_r: int | None = None,
         dual_rows=dual_rows,
         verdicts=tuple(verdicts),
         witnesses=primal.witnesses,
+        timings=timings,
     )

@@ -230,7 +230,11 @@ def analysis_report(code: LinearCode, *, promised_r: int | None = None,
             }
             for i, w in sorted(report.witnesses.items())
         }
-    out["timings"] = {"analyze_ms": round((time.perf_counter() - t0) * 1000, 3)}
+    out["timings"] = {
+        "analyze_ms": round((time.perf_counter() - t0) * 1000, 3),
+        "locality_ms": round(report.timings["locality"], 3),
+        "hierarchy_ms": round(report.timings["hierarchy"], 3),
+    }
     return out
 
 
@@ -250,7 +254,9 @@ def render_text(report: dict) -> str:
         if payload.get("witness_index") is not None:
             detail = f" (index {payload['witness_index']})"
         lines.append(f"  {claim:10s} {payload['status']}{detail}")
-    lines.append(f"analyze time: {report['timings']['analyze_ms']} ms")
+    t = report["timings"]
+    lines.append(f"analyze time: {t['analyze_ms']} ms (locality {t['locality_ms']} ms, "
+                 f"hierarchy {t['hierarchy_ms']} ms)")
     return "\n".join(lines)
 
 

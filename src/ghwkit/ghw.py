@@ -11,6 +11,17 @@ so d_i is the first size whose maximum reaches i.  Subsets are enumerated
 lexicographically with an incremental column basis and a pruning bound
 (s - rank so far) that cannot change the result.
 
+Over GF(2) the sweep takes a packed route (`_max_excess_gf2`): each column
+of H is packed into one int once per code, and each search node carries the
+remaining columns already reduced against the chosen ones, so a candidate
+raises the rank exactly when its reduced column is nonzero, and choosing a
+column XORs it into the later columns that share its lowest set bit (the
+packing follows M4RI: Albrecht, Bard, Hart, "Algorithm 898", ACM TOMS 37(1),
+2010).  It visits the same nodes in the same order as the generic route and
+returns the same values and witness subsets.  `_size_search` picks the route
+from the field; every other field reduces element lists against a basis
+(`_max_excess_for_size`).
+
 ``ghw_oracle`` recomputes d_i straight from the definition by enumerating
 every i-dimensional subcode once (canonical RREF bases over the message
 space) and exists solely to validate the subset-rank route.
@@ -88,18 +99,70 @@ def _max_excess_for_size(cols, s, need, fld, deadline):
     return best, best_subset
 
 
+def _max_excess_gf2(cols: list[int], s, need, deadline):
+    """`_max_excess_for_size` over GF(2), on columns packed into ints: the
+    same nodes in the same order, the same pruning, the same first argmax.
+
+    XORing a chosen reduced column v into each later column with v's lowest
+    set bit keeps every later column zero at the chosen pivots, so it is
+    zero exactly when it lies in the span of the chosen columns.
+    """
+    n = len(cols)
+    best = need - 1
+    best_subset: tuple[int, ...] | None = None
+    chosen: list[int] = []
+    ticks = 0
+
+    def extend(red: list[int], start: int, rank: int, remaining: int) -> None:
+        # red[j - start] is column j reduced against the chosen columns.
+        nonlocal best, best_subset, ticks
+        ticks += 1
+        if deadline is not None and ticks % 1024 == 0 and time.monotonic() > deadline:
+            raise LimitError("wall-time guard exceeded during hierarchy sweep")
+        last = n - remaining
+        for j in range(start, last + 1):
+            v = red[j - start]
+            new_rank = rank + 1 if v else rank
+            if s - new_rank <= best:
+                continue
+            chosen.append(j)
+            if remaining == 1:
+                best = s - new_rank
+                best_subset = tuple(chosen)
+            elif v:
+                low = v & -v
+                extend([r ^ v if r & low else r for r in red[j + 1 - start:]],
+                       j + 1, new_rank, remaining - 1)
+            else:
+                extend(red[j + 1 - start:], j + 1, rank, remaining - 1)
+            chosen.pop()
+
+    extend(cols, 0, 0, s)
+    return best, best_subset
+
+
+def _size_search(check: Matrix):
+    """(s, need, deadline) -> `_max_excess_for_size` on the columns of
+    `check`, through the packed kernel when the field is GF(2)."""
+    if check.field.q == 2:
+        packed = [sum(bit << i for i, bit in enumerate(col)) for col in check.columns()]
+        return lambda s, need, deadline: _max_excess_gf2(packed, s, need, deadline)
+    cols, fld = check.columns(), check.field
+    return lambda s, need, deadline: _max_excess_for_size(cols, s, need, fld, deadline)
+
+
 def _sweep_hierarchy(check: Matrix, dims: int, *, collect_subsets: bool,
                      deadline: float | None):
     """All d_1..d_dims for the code with the given check matrix."""
     n = check.ncols
-    cols = check.columns()
+    search = _size_search(check)
     values: list[int] = [0] * (dims + 1)
     subsets: dict[int, tuple[int, ...]] = {}
     i_min = 1
     for s in range(1, n + 1):
         if i_min > dims:
             break
-        best, best_subset = _max_excess_for_size(cols, s, i_min, check.field, deadline)
+        best, best_subset = search(s, i_min, deadline)
         if best >= i_min:
             for i in range(i_min, best + 1):
                 values[i] = s
@@ -166,9 +229,9 @@ def ghw(code: LinearCode, i: int, *, with_witness: bool = True,
         raise ValueError(f"index i={i} outside 1..k={code.k}")
     _guard(code, limit_n)
     deadline = _deadline(time_limit)
-    cols = code.check.columns()
+    search = _size_search(code.check)
     for s in range(i, code.n + 1):
-        best, best_subset = _max_excess_for_size(cols, s, i, code.field, deadline)
+        best, best_subset = search(s, i, deadline)
         if best >= i:
             witness = _witness_from_subset(code, best_subset) if with_witness else None
             return s, witness

@@ -1,4 +1,5 @@
 import json
+import re
 import time
 
 import pytest
@@ -269,3 +270,32 @@ def test_analysis_report_key_order(lrc_12_6_3):
     assert list(report) == ["params", "locality", "primal_hierarchy",
                             "primal_gaps", "dual_hierarchy", "dual_gaps",
                             "bounds", "is_optimal", "timings"]
+
+
+def test_timings_report_each_phase(lrc_12_6_3):
+    timings = analysis_report(lrc_12_6_3)["timings"]
+    assert list(timings) == ["analyze_ms", "locality_ms", "hierarchy_ms"]
+    assert all(isinstance(v, float) and v >= 0 for v in timings.values())
+    assert timings["locality_ms"] + timings["hierarchy_ms"] <= timings["analyze_ms"]
+
+
+def test_text_output_breaks_the_time_down(tmp_path, capsys, lrc_12_6_3):
+    path = tmp_path / "fixture.code"
+    path.write_text(serialize_code(lrc_12_6_3))
+    assert main(["analyze", str(path)]) == EXIT_OK
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert re.fullmatch(r"analyze time: [\d.]+ ms \(locality [\d.]+ ms, "
+                        r"hierarchy [\d.]+ ms\)", last)
+
+
+def test_certify_optimal_looks_locality_up_on_its_module(monkeypatch, lrc_12_6_3):
+    """Wrappers installed on `ghwkit.bounds.locality` (as the benchmark's
+    spans do) see the locality search of every analysis."""
+    from ghwkit import bounds
+
+    calls = []
+    real = bounds.locality
+    monkeypatch.setattr(bounds, "locality",
+                        lambda code, **kw: calls.append(code) or real(code, **kw))
+    analysis_report(lrc_12_6_3)
+    assert calls == [lrc_12_6_3]

@@ -1,8 +1,11 @@
-import pytest
-from hypothesis import given, settings, strategies as st
+import sys
+import time
 
-from ghwkit.algebra import Matrix
-from ghwkit.code import LinearCode, hamming_weight
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from ghwkit.algebra import Field, Matrix
+from ghwkit.code import CodeValidationError, LinearCode, hamming_weight
 from ghwkit.constructions import random_code, reed_solomon
 from ghwkit.ghw import (
     LimitError,
@@ -14,6 +17,10 @@ from ghwkit.ghw import (
     gk_dual,
     weight_hierarchy,
 )
+
+# The package re-exports the function `ghw`, which hides the module.
+ghw_module = sys.modules["ghwkit.ghw"]
+GF2 = Field(2)
 
 
 class TestGhw:
@@ -179,3 +186,63 @@ def test_wall_time_guard():
     code = random_code(2, 16, 8, seed=5)
     with pytest.raises(LimitError, match="wall-time"):
         weight_hierarchy(code, time_limit=0.0)
+
+
+def test_wall_time_guard_on_the_packed_route():
+    code = random_code(2, 22, 11, seed=1)
+    start = time.monotonic()
+    with pytest.raises(LimitError, match="wall-time"):
+        weight_hierarchy(code, time_limit=0.05)
+    assert time.monotonic() - start < 0.5
+
+
+def _binary_columns(data, n: int) -> list[tuple[int, ...]]:
+    """n columns of a random binary check matrix: a few distinct columns,
+    zero included, drawn with repetition, and possibly no rows at all."""
+    m = data.draw(st.integers(0, 8), label="rows")
+    palette = data.draw(st.lists(st.integers(0, 2**m - 1), min_size=1, max_size=n),
+                        label="palette")
+    picks = data.draw(st.lists(st.sampled_from(palette), min_size=n, max_size=n),
+                      label="columns")
+    return [tuple((c >> i) & 1 for i in range(m)) for c in picks]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_packed_kernel_matches_generic_search(data):
+    """The GF(2) route returns the generic search's maximum and first argmax
+    at every size and every threshold."""
+    n = data.draw(st.integers(1, 14), label="n")
+    cols = _binary_columns(data, n)
+    check = Matrix(GF2, [list(row) for row in zip(*cols)], ncols=n)
+    search = ghw_module._size_search(check)
+    for s in range(1, n + 1):
+        for need in range(1, s + 2):
+            assert search(s, need, None) == ghw_module._max_excess_for_size(
+                cols, s, need, GF2, None)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_binary_ghw_witnesses_match_generic_search(data):
+    """ghw over GF(2) gives the generic search's first size and first
+    argmax, and the definition's value whenever the code is small."""
+    n = data.draw(st.integers(1, 14), label="n")
+    rows = data.draw(st.lists(st.integers(1, 2**n - 1), min_size=1, max_size=n),
+                     label="rows")
+    # Unit vectors put zero columns in H; weight-2 words repeat columns.
+    extra = data.draw(st.lists(st.integers(0, n - 1), max_size=3), label="extra")
+    rows += [1 << j for j in extra[:1]] + [(1 << j) | (1 << (n - 1)) for j in extra[1:]]
+    try:
+        code = LinearCode(GF2, [[(r >> j) & 1 for j in range(n)] for r in rows])
+    except CodeValidationError:
+        assume(False)
+    cols = code.check.columns()
+    for i in range(1, code.k + 1):
+        d_i, witness = ghw(code, i)
+        s, (best, subset) = next((s, found) for s in range(i, n + 1)
+                                 if (found := ghw_module._max_excess_for_size(
+                                     cols, s, i, GF2, None))[0] >= i)
+        assert (d_i, witness.support) == (s, subset)
+        if 2**code.k <= 64:
+            assert d_i == ghw_oracle(code, i)
