@@ -240,9 +240,10 @@ def test_binary_ghw_witnesses_match_generic_search(data):
     cols = code.check.columns()
     for i in range(1, code.k + 1):
         d_i, witness = ghw(code, i)
-        s, (best, subset) = next((s, found) for s in range(i, n + 1)
-                                 if (found := ghw_module._max_excess_for_size(
-                                     cols, s, i, GF2, None))[0] >= i)
+        for s in range(i, n + 1):
+            best, subset = ghw_module._max_excess_for_size(cols, s, i, GF2, None)
+            if best >= i:
+                break
         assert (d_i, witness.support) == (s, subset)
         if 2**code.k <= 64:
             assert d_i == ghw_oracle(code, i)
