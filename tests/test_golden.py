@@ -6,7 +6,8 @@ code file: `<case>.json` holds the report with `timings` removed (the only
 section that may differ between runs), `<case>.err` the error output of a
 refused code.  A case marked `dual` analyzes the dual of the code in its
 file, a code that misses a coordinate (`zero_coordinates`) and so cannot be
-written as a code file itself.
+written as a code file itself.  A construct case holds the file that
+`ghwkit construct` writes, comment lines included, as `<case>.code`.
 
 A diff is a bug in the change, not in the golden file.  To add a case, add
 it to CASES and write its missing outputs, from a checkout of the commit the
@@ -22,6 +23,7 @@ from __future__ import annotations
 import io
 import json
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -49,6 +51,19 @@ CASES = {
     "gf9_8_4": ("gf9_8_4", [], 0, False),
     "coloop_gf2_14_7": ("coloop_gf2_14_7", [], 1, False),
     "coloop_gf2_14_7_dual_witnesses": ("coloop_gf2_14_7", ["--witnesses"], 0, True),
+    "tamo_barg_5_4_2_1": ("tamo_barg_5_4_2_1", [], 0, False),
+    "tamo_barg_13_12_7_3": ("tamo_barg_13_12_7_3", [], 0, False),
+    "tamo_barg_16_15_8_4": ("tamo_barg_16_15_8_4", [], 0, False),
+    "tamo_barg_16_15_9_4": ("tamo_barg_16_15_9_4", [], 0, False),
+}
+
+# case -> `construct` arguments
+CONSTRUCT_CASES = {
+    "construct_tamo_barg_13_12_6_3": ["tamo-barg", "--q", "13", "--n", "12", "--k", "6",
+                                      "--r", "3"],
+    "construct_reed_solomon_8_7_3": ["reed-solomon", "--q", "8", "--n", "7", "--k", "3"],
+    "construct_random_2_8_4_seed1": ["random", "--q", "2", "--n", "8", "--k", "4",
+                                     "--seed", "1"],
 }
 
 
@@ -74,11 +89,26 @@ def run_case(name: str) -> tuple[int, str, str]:
     return rc, comparable(json.loads(out.getvalue())), ".json"
 
 
+def run_construct(name: str, directory: Path) -> tuple[int, str]:
+    """(exit code, file text) for one construct case."""
+    target = directory / f"{name}.code"
+    with redirect_stdout(io.StringIO()):
+        rc = main(["construct", *CONSTRUCT_CASES[name], "-o", str(target)])
+    return rc, target.read_text() if rc == 0 else ""
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_matches_golden(name):
     rc, text, suffix = run_case(name)
     assert rc == CASES[name][2]
     assert text == (GOLDEN / f"{name}{suffix}").read_text()
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCT_CASES))
+def test_construct_matches_golden(name, tmp_path):
+    rc, text = run_construct(name, tmp_path)
+    assert rc == 0
+    assert text == (GOLDEN / f"{name}.code").read_text()
 
 
 def test_dual_case_has_zero_coordinates():
@@ -97,3 +127,13 @@ if __name__ == "__main__":
             continue
         target.write_text(text)
         print(f"wrote {target.relative_to(GOLDEN.parent.parent)}")
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in sorted(CONSTRUCT_CASES):
+            target = GOLDEN / f"{case}.code"
+            if target.exists():
+                continue
+            rc, text = run_construct(case, Path(tmp))
+            if rc != 0:
+                sys.exit(f"{case}: exit {rc}")
+            target.write_text(text)
+            print(f"wrote {target.relative_to(GOLDEN.parent.parent)}")
