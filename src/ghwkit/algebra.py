@@ -6,17 +6,12 @@ are the coefficients of the polynomial representation, lowest degree first,
 so index 0 is the additive identity and index 1 the multiplicative identity
 in every field.  Extension fields multiply through exp/log tables built once
 at construction; prime fields use direct modular arithmetic.
-
-``FieldElement`` is a thin operator-overloading wrapper for callers who
-prefer ``a * b`` over ``field.mul(a, b)``; all bulk linear algebra works on
-raw integer indices.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 MAX_FIELD_SIZE = 1 << 16
 
@@ -177,7 +172,6 @@ class Field:
             return pow(a, p - 2, p)
 
         self.inv = inv
-        self.div = lambda a, b: (a * inv(b)) % p
         gen = None
         for g in range(2, p):
             if all(pow(g, (p - 1) // f, p) != 1 for f in _prime_factors(p - 1)):
@@ -281,7 +275,6 @@ class Field:
 
         self.mul = mul
         self.inv = inv
-        self.div = lambda a, b: mul(a, inv(b))
 
     # -- generic operations ----------------------------------------------------
 
@@ -301,15 +294,6 @@ class Field:
         """An element of multiplicative order q-1."""
         return self._generator
 
-    def elements(self) -> Iterator[int]:
-        return iter(range(self.q))
-
-    def element(self, index: int) -> "FieldElement":
-        return FieldElement(self, index)
-
-    def __call__(self, index: int) -> "FieldElement":
-        return FieldElement(self, index)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Field):
             return NotImplemented
@@ -322,63 +306,6 @@ class Field:
         if self.m == 1:
             return f"GF({self.q})"
         return f"GF({self.q}={self.p}^{self.m}, modulus={list(self.modulus)})"
-
-
-def field_new(p: int, m: int = 1, modulus: Sequence[int] | None = None) -> Field:
-    """Build GF(p^m); see Field."""
-    return Field(p, m, modulus)
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """A field element bound to its field, with operator overloading."""
-
-    field: Field
-    index: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.index < self.field.q:
-            raise ValueError(f"index {self.index} outside [0, {self.field.q})")
-
-    def _other_index(self, other: object) -> int:
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise ValueError(f"operands from different fields: "
-                                 f"{self.field} vs {other.field}")
-            return other.index
-        if isinstance(other, int):
-            return other % self.field.q if self.field.m == 1 else other
-        return NotImplemented  # type: ignore[return-value]
-
-    def __add__(self, other):
-        return FieldElement(self.field, self.field.add(self.index, self._other_index(other)))
-
-    def __sub__(self, other):
-        return FieldElement(self.field, self.field.sub(self.index, self._other_index(other)))
-
-    def __mul__(self, other):
-        return FieldElement(self.field, self.field.mul(self.index, self._other_index(other)))
-
-    def __truediv__(self, other):
-        return FieldElement(self.field, self.field.div(self.index, self._other_index(other)))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.field, self.field.pow(self.index, e))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.index))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv(self.index))
-
-    def __bool__(self) -> bool:
-        return self.index != 0
-
-    def __int__(self) -> int:
-        return self.index
-
-    def __repr__(self) -> str:
-        return f"{self.index}@GF({self.field.q})"
 
 
 def reduce_against(vec: list[int], basis: Sequence[tuple[int, Sequence[int]]],
@@ -418,10 +345,6 @@ class Matrix:
         for row in rows:
             out = []
             for e in row:
-                if isinstance(e, FieldElement):
-                    if e.field != field:
-                        raise ValueError("entry from a different field")
-                    e = e.index
                 e = int(e)
                 if not 0 <= e < field.q:
                     raise ValueError(f"entry {e} outside [0, {field.q})")
@@ -442,20 +365,7 @@ class Matrix:
                 raise ValueError("empty matrix needs an explicit ncols")
             self.ncols = ncols
 
-    # -- constructors ----------------------------------------------------------
-
-    @classmethod
-    def zeros(cls, field: Field, nrows: int, ncols: int) -> "Matrix":
-        return cls(field, [[0] * ncols for _ in range(nrows)], ncols=ncols)
-
-    @classmethod
-    def identity(cls, field: Field, n: int) -> "Matrix":
-        return cls(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
     # -- basic views -----------------------------------------------------------
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.rows[i]
 
     def column(self, j: int) -> tuple[int, ...]:
         if not 0 <= j < self.ncols:
@@ -465,33 +375,7 @@ class Matrix:
     def columns(self) -> list[tuple[int, ...]]:
         return [self.column(j) for j in range(self.ncols)]
 
-    def transpose(self) -> "Matrix":
-        return Matrix(self.field, [self.column(j) for j in range(self.ncols)],
-                      ncols=self.nrows)
-
-    def is_zero(self) -> bool:
-        return all(all(e == 0 for e in r) for r in self.rows)
-
     # -- arithmetic --------------------------------------------------------------
-
-    def mat_mul(self, other: "Matrix") -> "Matrix":
-        if self.field != other.field:
-            raise ValueError("matrices over different fields")
-        if self.ncols != other.nrows:
-            raise ValueError(f"shape mismatch: {self.ncols} vs {other.nrows}")
-        add, mul = self.field.add, self.field.mul
-        out = []
-        for r in self.rows:
-            orow = []
-            for j in range(other.ncols):
-                acc = 0
-                for t in range(self.ncols):
-                    a = r[t]
-                    if a:
-                        acc = add(acc, mul(a, other.rows[t][j]))
-                orow.append(acc)
-            out.append(orow)
-        return Matrix(self.field, out, ncols=other.ncols)
 
     def left_mul_vector(self, x: Sequence[int]) -> tuple[int, ...]:
         """Row vector times matrix: the combination sum_t x[t] * row_t."""
@@ -505,20 +389,6 @@ class Matrix:
                     if e:
                         acc[j] = add(acc[j], mul(c, e))
         return tuple(acc)
-
-    def right_mul_vector(self, v: Sequence[int]) -> tuple[int, ...]:
-        """Matrix times column vector."""
-        if len(v) != self.ncols:
-            raise ValueError("vector length does not match column count")
-        add, mul = self.field.add, self.field.mul
-        out = []
-        for row in self.rows:
-            acc = 0
-            for e, c in zip(row, v):
-                if e and c:
-                    acc = add(acc, mul(e, c))
-            out.append(acc)
-        return tuple(out)
 
     # -- elimination -------------------------------------------------------------
 
@@ -561,33 +431,6 @@ class Matrix:
     def rank(self) -> int:
         return self.rref().rank
 
-    def rank_of_columns(self, cols: Iterable[int]) -> int:
-        """Rank of the submatrix formed by the given columns; empty set -> 0."""
-        m = self.nrows
-        sub, mul, inv = self.field.sub, self.field.mul, self.field.inv
-        basis: list[tuple[int, list[int]]] = []  # (pivot position, vector), sorted
-        seen = set()
-        for j in cols:
-            if not 0 <= j < self.ncols:
-                raise IndexError(f"column {j} out of range")
-            if j in seen:
-                continue
-            seen.add(j)
-            vec = [row[j] for row in self.rows]
-            for p, b in basis:
-                c = vec[p]
-                if c:
-                    for t in range(p, m):
-                        if b[t]:
-                            vec[t] = sub(vec[t], mul(c, b[t]))
-            piv = next((t for t in range(m) if vec[t]), None)
-            if piv is not None:
-                s = inv(vec[piv])
-                if s != 1:
-                    vec = [mul(s, e) for e in vec]
-                insort(basis, (piv, vec))
-        return len(basis)
-
     def nullspace(self) -> "Matrix":
         """Canonical basis of {v : M v^T = 0}, one row per free column."""
         field = self.field
@@ -619,15 +462,3 @@ class Matrix:
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(e) for e in r) for r in self.rows)
         return f"Matrix({self.nrows}x{self.ncols} over {self.field}: [{body}])"
-
-
-def rref(matrix: Matrix) -> RrefResult:
-    return matrix.rref()
-
-
-def rank_of_columns(matrix: Matrix, cols: Iterable[int]) -> int:
-    return matrix.rank_of_columns(cols)
-
-
-def nullspace(matrix: Matrix) -> Matrix:
-    return matrix.nullspace()

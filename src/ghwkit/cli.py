@@ -8,14 +8,15 @@ Code file format (UTF-8, LF, ``#`` comments allowed anywhere)::
     k 6
     <k rows of n space-separated integers in [0, q)>
 
-Exit codes: 0 success, 1 usage/parse/limit errors, 2 when any claim
-verdict is violated (a correctness alarm, never silent).
+Exit codes: 0 success, 1 usage/parse/limit errors and a closed output pipe,
+2 when any claim verdict is violated (a correctness alarm, never silent).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from typing import Sequence
@@ -23,13 +24,7 @@ from typing import Sequence
 from .algebra import MAX_FIELD_SIZE
 from .bounds import BoundReport, certify_optimal
 from .code import CodeValidationError, LinearCode
-from .constructions import (
-    ConstructionSpec,
-    build,
-    field_for_order,
-    reed_solomon_spec,
-    tamo_barg_spec,
-)
+from .constructions import _subgroup, field_for_order, random_code, reed_solomon, tamo_barg
 from .ghw import DEFAULT_LIMIT_N, LimitError
 from .suites import DEFAULT_COUNT, DEFAULT_SEED, SUITES, run_suite
 
@@ -297,22 +292,22 @@ def cmd_construct(args: argparse.Namespace) -> int:
         if args.kind == "tamo-barg":
             if args.r is None:
                 raise ValueError("tamo-barg needs --r")
-            spec = tamo_barg_spec(args.q, args.n, args.k, args.r)
+            code = tamo_barg(args.q, args.n, args.k, args.r)
+            extra, points = f" r={args.r}", _subgroup(code.field, args.n)
         elif args.kind == "reed-solomon":
-            spec = reed_solomon_spec(args.q, args.n, args.k)
+            code = reed_solomon(args.q, args.n, args.k)
+            extra, points = "", range(args.n)
         else:
-            spec = ConstructionSpec(kind="random", q=args.q, n=args.n, k=args.k,
-                                    seed=args.seed)
-        code = build(spec)
+            code = random_code(args.q, args.n, args.k, args.seed)
+            extra, points = f" seed={args.seed}", None
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    comments = [f"kind={spec.kind} q={spec.q} n={spec.n} k={spec.k}"
-                + (f" r={spec.r}" if spec.r is not None else "")
-                + (f" seed={spec.seed}" if spec.seed is not None else "")]
-    if spec.evaluation_points is not None:
+    kind = args.kind.replace("-", "_")
+    comments = [f"kind={kind} q={args.q} n={args.n} k={args.k}{extra}"]
+    if points is not None:
         comments.append("evaluation points (element indices): "
-                        + " ".join(str(x) for x in spec.evaluation_points))
+                        + " ".join(str(x) for x in points))
     text = serialize_code(code, comments)
     try:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -384,7 +379,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        rc = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return rc
+    except BrokenPipeError:
+        # The reader closed the pipe: point stdout at devnull so that the
+        # flush at interpreter exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

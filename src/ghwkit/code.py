@@ -1,4 +1,4 @@
-"""Linear-code model: validation, dual construction, codeword utilities.
+"""Linear-code model: validation and dual construction.
 
 A ``LinearCode`` is stored in canonical form: the generator is the unique
 reduced-row-echelon basis of the row space, and the parity-check matrix is
@@ -11,8 +11,7 @@ recorded in ``zero_coordinates``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 from .algebra import Field, Matrix
 
@@ -78,10 +77,6 @@ class LinearCode:
         self.check = g.nullspace()
         self.zero_coordinates = zero_cols
 
-    @classmethod
-    def from_generator(cls, field: Field, rows: Iterable[Iterable[int]]) -> "LinearCode":
-        return cls(field, rows)
-
     def dual(self) -> "LinearCode":
         """The [n, n-k] dual code, generated by the parity-check matrix.
 
@@ -91,20 +86,6 @@ class LinearCode:
         if self.check.nrows == 0:
             raise CodeValidationError("full-space code has a trivial dual (k = n)")
         return LinearCode(self.field, self.check, _allow_zero_columns=True)
-
-    def contains(self, vec: Sequence[int]) -> bool:
-        if len(vec) != self.n:
-            return False
-        return all(e == 0 for e in self.check.right_mul_vector(vec)) if self.check.nrows \
-            else True
-
-    def codewords(self, limit: int = 10**6) -> Iterator[tuple[int, ...]]:
-        """All q^k codewords, message order; guarded against large codes."""
-        count = self.field.q**self.k
-        if count > limit:
-            raise ValueError(f"codeword enumeration of size {count} exceeds limit {limit}")
-        return (self.generator.left_mul_vector(msg)
-                for msg in product(range(self.field.q), repeat=self.k))
 
     def min_distance(self, limit_n: int = 24, time_limit: float | None = None) -> int:
         """Minimum Hamming weight over nonzero codewords.
@@ -128,11 +109,3 @@ class LinearCode:
 
     def __repr__(self) -> str:
         return f"LinearCode[n={self.n}, k={self.k}] over {self.field}"
-
-
-def code_from_generator(field: Field, rows: Iterable[Iterable[int]]) -> LinearCode:
-    return LinearCode(field, rows)
-
-
-def dual(code: LinearCode) -> LinearCode:
-    return code.dual()

@@ -22,9 +22,7 @@ produce bit-identical codes on every platform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .algebra import Field, Matrix
+from .algebra import MAX_FIELD_SIZE, Field, Matrix, _prime_factors
 from .code import LinearCode
 
 _MASK64 = (1 << 64) - 1
@@ -51,11 +49,9 @@ def field_for_order(q: int, modulus=None) -> Field:
     """Field of order q = p^m; the prime-power shape is derived from q."""
     if q < 2:
         raise ValueError(f"field size must be >= 2, got {q}")
-    p = 2
-    while p * p <= q and q % p != 0:
-        p += 1
-    if p * p > q:
-        p = q
+    if q > MAX_FIELD_SIZE:
+        raise ValueError(f"field size {q} exceeds {MAX_FIELD_SIZE}")
+    p = _prime_factors(q)[0]
     m = 0
     rest = q
     while rest % p == 0:
@@ -64,19 +60,6 @@ def field_for_order(q: int, modulus=None) -> Field:
     if rest != 1:
         raise ValueError(f"{q} is not a prime power")
     return Field(p, m, modulus)
-
-
-@dataclass(frozen=True)
-class ConstructionSpec:
-    """Recorded construction parameters, including derived evaluation points."""
-
-    kind: str
-    q: int
-    n: int
-    k: int
-    r: int | None = None
-    seed: int | None = None
-    evaluation_points: tuple[int, ...] | None = None
 
 
 def _subgroup(field: Field, order: int) -> list[int]:
@@ -132,14 +115,6 @@ def tamo_barg(q: int, n: int, k: int, r: int) -> LinearCode:
     return code
 
 
-def tamo_barg_spec(q: int, n: int, k: int, r: int) -> ConstructionSpec:
-    field = field_for_order(q)
-    if n % (r + 1) != 0 or (q - 1) % n != 0:
-        raise ValueError("invalid LRC evaluation-set parameters")
-    return ConstructionSpec(kind="tamo_barg", q=q, n=n, k=k, r=r,
-                            evaluation_points=tuple(_subgroup(field, n)))
-
-
 def reed_solomon(q: int, n: int, k: int) -> LinearCode:
     """[n, k] Reed-Solomon code; Vandermonde generator on the first n field
     elements in index order."""
@@ -151,11 +126,6 @@ def reed_solomon(q: int, n: int, k: int) -> LinearCode:
     points = list(range(n))
     rows = [[field.pow(alpha, i) for alpha in points] for i in range(k)]
     return LinearCode(field, rows)
-
-
-def reed_solomon_spec(q: int, n: int, k: int) -> ConstructionSpec:
-    return ConstructionSpec(kind="reed_solomon", q=q, n=n, k=k,
-                            evaluation_points=tuple(range(n)))
 
 
 def random_code(q: int, n: int, k: int, seed: int = 0) -> LinearCode:
@@ -179,15 +149,3 @@ def random_code(q: int, n: int, k: int, seed: int = 0) -> LinearCode:
             return LinearCode(field, mat)
     raise RuntimeError(f"could not draw a full-rank generator for "
                        f"(q={q}, n={n}, k={k}, seed={seed})")  # pragma: no cover
-
-
-def build(spec: ConstructionSpec) -> LinearCode:
-    if spec.kind == "tamo_barg":
-        if spec.r is None:
-            raise ValueError("tamo_barg construction needs r")
-        return tamo_barg(spec.q, spec.n, spec.k, spec.r)
-    if spec.kind == "reed_solomon":
-        return reed_solomon(spec.q, spec.n, spec.k)
-    if spec.kind == "random":
-        return random_code(spec.q, spec.n, spec.k, spec.seed or 0)
-    raise ValueError(f"unknown construction kind {spec.kind!r}")

@@ -228,14 +228,10 @@ def ghw(code: LinearCode, i: int, *, with_witness: bool = True,
     if not 1 <= i <= code.k:
         raise ValueError(f"index i={i} outside 1..k={code.k}")
     _guard(code, limit_n)
-    deadline = _deadline(time_limit)
-    search = _size_search(code.check)
-    for s in range(i, code.n + 1):
-        best, best_subset = search(s, i, deadline)
-        if best >= i:
-            witness = _witness_from_subset(code, best_subset) if with_witness else None
-            return s, witness
-    raise RuntimeError(f"no support of dimension {i} found")  # pragma: no cover
+    values, subsets = _sweep_hierarchy(code.check, i, collect_subsets=with_witness,
+                                       deadline=_deadline(time_limit))
+    witness = _witness_from_subset(code, subsets[i]) if with_witness else None
+    return values[-1], witness
 
 
 def weight_hierarchy(code: LinearCode, *, with_witnesses: bool = False,
@@ -323,32 +319,6 @@ def check_wei_duality(code: LinearCode, *, limit_n: int = DEFAULT_LIMIT_N,
                          primal=primal.values,
                          dual=dual_values,
                          violations=tuple(violations))
-
-
-def gk_dual(code: LinearCode, *, limit_n: int = DEFAULT_LIMIT_N,
-            time_limit: float | None = None) -> int:
-    """The k-th gap number of the dual code.
-
-    Cross-checks the max characterization (largest k+i with dual d_i < k+i),
-    the min characterization (smallest k+i with dual d_i = k+i, minus one)
-    and the relation d_1 = n+1 - g_k of the dual; any disagreement raises.
-    """
-    n, k = code.n, code.k
-    dual_values = dual_hierarchy_values(code, limit_n=limit_n, time_limit=time_limit)
-    below = [k + i for i in range(1, n - k + 1) if dual_values[i - 1] < k + i]
-    at = [k + i for i in range(1, n - k + 1) if dual_values[i - 1] == k + i]
-    max_form = max(below) if below else k
-    min_form = (min(at) - 1) if at else n
-    if max_form != min_form:
-        raise RuntimeError(f"gap characterizations disagree: {max_form} vs {min_form}")
-    dual_gaps = tuple(sorted(set(range(1, n + 1)) - set(dual_values)))
-    if dual_gaps[-1] != max_form:
-        raise RuntimeError(f"computed dual gaps give {dual_gaps[-1]}, "
-                           f"characterization gives {max_form}")
-    d1, _ = ghw(code, 1, with_witness=False, limit_n=limit_n, time_limit=time_limit)
-    if d1 != n + 1 - max_form:
-        raise RuntimeError(f"d_1={d1} but n+1-g_k = {n + 1 - max_form}")
-    return max_form
 
 
 # ---------------------------------------------------------------------------

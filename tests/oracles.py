@@ -2,7 +2,77 @@
 
 from __future__ import annotations
 
+from itertools import product
+
+from ghwkit.algebra import Field, Matrix
 from ghwkit.code import LinearCode, support
+from ghwkit.ghw import dual_hierarchy_values, ghw
+
+
+def identity(field: Field, n: int) -> Matrix:
+    return Matrix(field, [[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def transpose(m: Matrix) -> Matrix:
+    return Matrix(m.field, m.columns(), ncols=m.nrows)
+
+
+def _dot(field: Field, u, v) -> int:
+    acc = 0
+    for a, b in zip(u, v):
+        acc = field.add(acc, field.mul(a, b))
+    return acc
+
+
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    assert a.field == b.field and a.ncols == b.nrows
+    cols = b.columns()
+    return Matrix(a.field, [[_dot(a.field, row, col) for col in cols] for row in a.rows],
+                  ncols=b.ncols)
+
+
+def is_zero(m: Matrix) -> bool:
+    return not any(any(row) for row in m.rows)
+
+
+def codewords(code: LinearCode, limit: int = 10**6):
+    """All q^k codewords in message order; refuses codes with more than `limit`."""
+    count = code.field.q**code.k
+    if count > limit:
+        raise ValueError(f"codeword enumeration of size {count} exceeds limit {limit}")
+    return (code.generator.left_mul_vector(msg)
+            for msg in product(range(code.field.q), repeat=code.k))
+
+
+def contains(code: LinearCode, vec) -> bool:
+    """Whether `vec` is a codeword: every row of H is orthogonal to it."""
+    return len(vec) == code.n and all(_dot(code.field, row, vec) == 0
+                                      for row in code.check.rows)
+
+
+def gk_dual(code: LinearCode) -> int:
+    """The k-th gap number of the dual code.
+
+    Cross-checks the max characterization (largest k+i with dual d_i < k+i),
+    the min characterization (smallest k+i with dual d_i = k+i, minus one)
+    and the relation d_1 = n+1 - g_k of the dual; any disagreement raises.
+    """
+    n, k = code.n, code.k
+    dual_values = dual_hierarchy_values(code)
+    below = [k + i for i in range(1, n - k + 1) if dual_values[i - 1] < k + i]
+    at = [k + i for i in range(1, n - k + 1) if dual_values[i - 1] == k + i]
+    max_form = max(below) if below else k
+    min_form = (min(at) - 1) if at else n
+    if max_form != min_form:
+        raise RuntimeError(f"gap characterizations disagree: {max_form} vs {min_form}")
+    dual_gaps = tuple(sorted(set(range(1, n + 1)) - set(dual_values)))
+    if dual_gaps[-1] != max_form:
+        raise RuntimeError(f"computed dual gaps give {dual_gaps[-1]}, "
+                           f"characterization gives {max_form}")
+    d1, _ = ghw(code, 1, with_witness=False)
+    if d1 != n + 1 - max_form:
+        raise RuntimeError(f"d_1={d1} but n+1-g_k = {n + 1 - max_form}")
+    return max_form
 
 
 def dual_words(code: LinearCode) -> list[tuple[int, ...]]:

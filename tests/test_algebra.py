@@ -1,7 +1,18 @@
+from bisect import insort
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ghwkit.algebra import Field, Matrix, default_modulus, is_irreducible, is_prime
+from ghwkit.algebra import (
+    Field,
+    Matrix,
+    default_modulus,
+    is_irreducible,
+    is_prime,
+    reduce_against,
+)
+
+from oracles import identity, is_zero, mat_mul, transpose
 
 
 def extended_euclid_inverse(a, p):
@@ -93,23 +104,6 @@ class TestElementArithmetic:
         assert f.pow(0, 0) == 1
         assert f.pow(3, -1) == f.inv(3)
 
-    def test_element_wrapper_operations(self):
-        f = Field(13)
-        a, b = f(5), f(9)
-        assert (a + b).index == 1
-        assert (a - b).index == 9
-        assert (a * b).index == 45 % 13
-        assert (a / a).index == 1
-        assert (-a).index == 8
-        assert (a ** 2).index == 12
-        assert bool(f(0)) is False
-
-    def test_cross_field_operands_rejected(self):
-        a = Field(5)(2)
-        b = Field(7)(2)
-        with pytest.raises(ValueError, match="different fields"):
-            a + b
-
     def test_multiplicative_generator(self):
         for f in (Field(2), Field(13), Field(2, 2), Field(3, 2)):
             g = f.multiplicative_generator()
@@ -142,7 +136,7 @@ def test_field_axioms_exhaustive(f):
             assert f.mul(a, b) == f.mul(b, a)
             assert f.sub(a, b) == f.add(a, f.neg(b))
             if b:
-                assert f.mul(f.div(a, b), b) == a
+                assert f.mul(f.mul(a, f.inv(b)), b) == a
     for a in elements:
         for b in elements:
             for c in elements:
@@ -173,7 +167,7 @@ def test_field_axioms_randomized_large(data):
 
 class TestRref:
     def test_identity(self, gf2):
-        m = Matrix.identity(gf2, 3)
+        m = identity(gf2, 3)
         res = m.rref()
         assert res.rank == 3
         assert res.pivots == (0, 1, 2)
@@ -194,26 +188,38 @@ class TestRref:
         assert res.reduced.rows == ((1, 2, 0), (0, 0, 1))
 
 
+def rank_of_columns(m, cols):
+    """Rank of a column subset, built up with `reduce_against` the way the
+    hierarchy sweep and the cover search build their bases."""
+    basis = []
+    for j in sorted(cols):
+        vec = list(m.column(j))
+        piv = reduce_against(vec, basis, m.field)
+        if piv >= 0:
+            s = m.field.inv(vec[piv])
+            insort(basis, (piv, [m.field.mul(s, e) for e in vec]))
+    return len(basis)
+
+
 class TestRankOfColumns:
     def test_identity_subset(self, gf2):
-        m = Matrix.identity(gf2, 4)
-        assert m.rank_of_columns({0, 2}) == 2
+        assert rank_of_columns(identity(gf2, 4), {0, 2}) == 2
 
     def test_equal_columns(self, gf2):
         g = Matrix(gf2, [[1, 1, 0, 0], [0, 0, 1, 1]])
-        assert g.rank_of_columns({0, 1}) == 1
+        assert rank_of_columns(g, {0, 1}) == 1
 
     def test_empty_set(self, gf13):
-        assert Matrix(gf13, [[1, 2], [3, 4]]).rank_of_columns(set()) == 0
+        assert rank_of_columns(Matrix(gf13, [[1, 2], [3, 4]]), set()) == 0
 
     def test_out_of_range(self, gf2):
         with pytest.raises(IndexError):
-            Matrix.identity(gf2, 2).rank_of_columns({5})
+            rank_of_columns(identity(gf2, 2), {5})
 
 
 class TestNullspace:
     def test_identity_has_trivial_nullspace(self, gf2):
-        ns = Matrix.identity(gf2, 3).nullspace()
+        ns = identity(gf2, 3).nullspace()
         assert ns.nrows == 0 and ns.ncols == 3
 
     def test_single_parity(self, gf2):
@@ -243,11 +249,11 @@ def test_matrix_properties(data):
     seed = data.draw(st.integers(0, 2**32))
     m = _random_matrix(f, nrows, ncols, seed)
 
-    assert m.rank() == m.transpose().rank()
+    assert m.rank() == transpose(m).rank()
     ns = m.nullspace()
     assert m.rank() + ns.nrows == m.ncols
     if ns.nrows:
-        assert m.mat_mul(ns.transpose()).is_zero()
+        assert is_zero(mat_mul(m, transpose(ns)))
     red = m.rref().reduced
     if red.nrows:
         assert red.rref().reduced == red  # idempotent

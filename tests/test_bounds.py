@@ -320,10 +320,10 @@ class TestCertifyOptimal:
             certify_optimal(lrc_12_6_3, promised_r=2)
 
     def test_full_support_required(self, gf2):
-        from ghwkit.algebra import Matrix
         from ghwkit.code import CodeValidationError, LinearCode
+        from oracles import identity
 
-        full = LinearCode(gf2, Matrix.identity(gf2, 4))
+        full = LinearCode(gf2, identity(gf2, 4))
         with pytest.raises(CodeValidationError):
             certify_optimal(full)
 

@@ -1,6 +1,10 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +21,7 @@ from ghwkit.cli import (
 from ghwkit.constructions import tamo_barg
 
 PAIR_CODE_TEXT = "q 2\nn 4\nk 2\n1 1 0 0\n0 0 1 1\n"
+GOLDEN_CODE = Path(__file__).resolve().parent / "golden" / "gf2_14_6.code"
 
 
 class TestParseCodeFile:
@@ -217,6 +222,15 @@ class TestConstruct:
                    "--k", "6", "-o", str(tmp_path / "x.code")])
         assert rc == EXIT_USAGE
 
+    def test_huge_field_size_fails_fast(self, tmp_path, capsys):
+        out = tmp_path / "x.code"
+        start = time.monotonic()
+        rc = main(["construct", "random", "--q", "1000000000000000003", "--n", "4",
+                   "--k", "2", "-o", str(out)])
+        assert time.monotonic() - start < 1.0
+        assert rc == EXIT_USAGE and not out.exists()
+        assert "exceeds 65536" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_small_run_passes(self, capsys):
@@ -299,3 +313,45 @@ def test_certify_optimal_looks_locality_up_on_its_module(monkeypatch, lrc_12_6_3
                         lambda code, **kw: calls.append(code) or real(code, **kw))
     analysis_report(lrc_12_6_3)
     assert calls == [lrc_12_6_3]
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone: every write fails with EPIPE."""
+
+    def __init__(self, fd):
+        self._fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self._fd
+
+
+@pytest.mark.parametrize("argv", [["analyze", str(GOLDEN_CODE), "--json"],
+                                  ["verify", "duality", "--count", "2"]])
+def test_closed_stdout_exits_one_quietly(argv, tmp_path, capsys, monkeypatch):
+    with open(tmp_path / "stdout", "w") as fh:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fh.fileno()))
+        assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv", [["analyze", str(GOLDEN_CODE), "--json"],
+                                  ["verify", "duality", "--count", "2"]])
+def test_closed_pipe_in_a_subprocess_has_no_traceback(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from ghwkit.cli import main; sys.exit(main(sys.argv[1:]))",
+             *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_USAGE
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr

@@ -3,14 +3,12 @@ import pytest
 from ghwkit.bounds import certify_optimal, optimal_primal_hierarchy
 from ghwkit.code import CodeValidationError
 from ghwkit.constructions import (
-    ConstructionSpec,
     SplitMix64,
-    build,
+    _subgroup,
     field_for_order,
     random_code,
     reed_solomon,
     tamo_barg,
-    tamo_barg_spec,
 )
 from ghwkit.ghw import ghw_oracle, weight_hierarchy
 from ghwkit.locality import is_lrc, locality
@@ -61,9 +59,8 @@ class TestTamoBarg:
         with pytest.raises(ValueError, match="not a prime power"):
             tamo_barg(12, 11, 5, 10)
 
-    def test_spec_records_evaluation_points(self):
-        spec = tamo_barg_spec(13, 12, 6, 3)
-        assert spec.evaluation_points == tuple(range(1, 13))
+    def test_evaluation_points_are_the_order_n_subgroup(self):
+        assert _subgroup(field_for_order(13), 12) == list(range(1, 13))
 
     def test_larger_instance_with_extension_field(self):
         # GF(16): subgroup of order 15, groups of size 5
@@ -133,21 +130,3 @@ class TestRandomCode:
             0x6E789E6AA1B965F4,
             0x06C45D188009454F,
         ]
-
-
-class TestBuild:
-    def test_dispatch(self):
-        code = build(ConstructionSpec(kind="reed_solomon", q=7, n=6, k=3))
-        assert (code.n, code.k) == (6, 3)
-        code = build(ConstructionSpec(kind="random", q=2, n=6, k=3, seed=4))
-        assert code == random_code(2, 6, 3, 4)
-        code = build(ConstructionSpec(kind="tamo_barg", q=13, n=12, k=6, r=3))
-        assert (code.n, code.k) == (12, 6)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown construction"):
-            build(ConstructionSpec(kind="mystery", q=2, n=4, k=2))
-
-    def test_tamo_barg_needs_r(self):
-        with pytest.raises(ValueError, match="needs r"):
-            build(ConstructionSpec(kind="tamo_barg", q=13, n=12, k=6))

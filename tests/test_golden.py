@@ -10,8 +10,8 @@ written as a code file itself.  A construct case holds the file that
 `ghwkit construct` writes, comment lines included, as `<case>.code`.
 
 A diff is a bug in the change, not in the golden file.  To add a case, add
-it to CASES and write its missing outputs, from a checkout of the commit the
-case should pin, with
+it to CASES or CONSTRUCT_CASES and write its missing outputs, from a
+checkout of the commit the case should pin, with
 
     PYTHONPATH=src python tests/test_golden.py
 

@@ -17,7 +17,7 @@ from ghwkit.locality import (
     is_lrc,
     locality,
 )
-from oracles import dual_enum_locality
+from oracles import dual_enum_locality, identity, mat_mul, transpose
 
 
 class TestCoordinateLocality:
@@ -35,7 +35,7 @@ class TestCoordinateLocality:
             assert coordinate_locality(lrc_12_6_3, j) == 3
 
     def test_no_redundancy(self, gf2):
-        full = LinearCode(gf2, Matrix.identity(gf2, 3))
+        full = LinearCode(gf2, identity(gf2, 3))
         with pytest.raises(CodeValidationError, match="no redundancy"):
             coordinate_locality(full, 0)
 
@@ -95,11 +95,11 @@ class TestCoveringRows:
 
     def test_rows_are_dual_codewords_with_pivot_one(self, lrc_12_6_3):
         rows = covering_rows(lrc_12_6_3, 3)
-        g_t = lrc_12_6_3.generator.transpose()
+        g_t = transpose(lrc_12_6_3.generator)
         covered = set()
         for row in rows:
             assert all(v == 0 for v in
-                       Matrix(lrc_12_6_3.field, [row]).mat_mul(g_t).rows[0])
+                       mat_mul(Matrix(lrc_12_6_3.field, [row]), g_t).rows[0])
             pivot = min(set(range(12)) - covered)
             assert row[pivot] == 1
             covered |= set(support(row))
@@ -118,7 +118,7 @@ class TestIsLrc:
         assert not is_lrc(reed_solomon(7, 6, 3), 2)
 
     def test_full_space_is_never_lrc(self, gf2):
-        full = LinearCode(gf2, Matrix.identity(gf2, 3))
+        full = LinearCode(gf2, identity(gf2, 3))
         assert not is_lrc(full, 3)
 
 
@@ -144,9 +144,9 @@ def test_locality_invariants(data):
     assert all(hamming_weight(r) <= prof.r + 1 for r in rows)
     assert Matrix(code.field, rows).rank() == len(rows)  # independent
     assert -(-code.k // prof.r) <= len(rows) <= code.n - code.k
-    g_t = code.generator.transpose()
+    g_t = transpose(code.generator)
     for row in rows:
-        assert all(v == 0 for v in Matrix(code.field, [row]).mat_mul(g_t).rows[0])
+        assert all(v == 0 for v in mat_mul(Matrix(code.field, [row]), g_t).rows[0])
 
 
 @settings(max_examples=60, deadline=None)
@@ -219,7 +219,7 @@ def test_localities_witnessed_by_actual_dual_words(lrc_12_6_3):
     weight r_j + 1, nonzero at j, orthogonal to the generator."""
     code = lrc_12_6_3
     prof = locality(code)
-    g_t = code.generator.transpose()
+    g_t = transpose(code.generator)
     cover = _cover_search(code, prof.r)
     for j, rj in enumerate(prof.per_coordinate):
         subset = cover(j)
@@ -227,4 +227,4 @@ def test_localities_witnessed_by_actual_dual_words(lrc_12_6_3):
         word = _cover_word(code, subset, j)
         assert word[j] != 0
         assert hamming_weight(word) == rj + 1
-        assert all(v == 0 for v in Matrix(code.field, [word]).mat_mul(g_t).rows[0])
+        assert all(v == 0 for v in mat_mul(Matrix(code.field, [word]), g_t).rows[0])
