@@ -279,6 +279,46 @@ def test_analyze_violated_claim_exits_two(tmp_path, capsys, monkeypatch):
     assert "VIOLATED CLAIMS: eq1" in captured.err
 
 
+def test_violated_verdicts_reach_the_report(tmp_path, capsys, monkeypatch, lrc_12_6_3):
+    """Bound formulas patched on `ghwkit.bounds` make thm1, thm2 and thm3
+    fail; each failure must show in its JSON payload and exit 2."""
+    from ghwkit import bounds
+
+    real_bound = bounds.generalized_singleton_like_bound
+    real_dual = bounds.optimal_dual_hierarchy
+
+    def low_at_two(n, k, r, i):
+        return real_bound(n, k, r, i) - (i == 2)
+
+    monkeypatch.setattr(bounds, "generalized_singleton_like_bound", low_at_two)
+    monkeypatch.setattr(bounds, "optimal_dual_hierarchy",
+                        lambda n, k, r: tuple(v + 1 for v in real_dual(n, k, r)))
+
+    report = bounds.certify_optimal(lrc_12_6_3)
+    assert tuple(v.claim for v in report.verdicts) == bounds.CLAIM_IDS
+    assert report.violated_claims == ("thm1", "thm2", "thm3")
+    assert [report.verdict(c).witness_index for c in report.violated_claims] == [2, 1, 2]
+
+    out = analysis_report(lrc_12_6_3)["bounds"]
+    assert tuple(out) == bounds.CLAIM_IDS
+    assert out["thm1"]["status"] == "violated"
+    assert out["thm1"]["witness_index"] == 2
+    assert out["thm1"]["per_i"] == [
+        {"i": i, "d_i": d_i, "bound": low_at_two(12, 6, 3, i)}
+        for i, d_i in enumerate(report.primal_hierarchy, start=1)]
+    assert out["thm1"]["per_i"][1] == {"i": 2, "d_i": 7, "bound": 6}
+    for claim, index in (("thm2", 1), ("thm3", 2)):
+        assert out[claim] == {"status": "violated", "witness_index": index,
+                              "expected": None}
+    assert all(out[c]["status"] == "holds" for c in bounds.CLAIM_IDS
+               if c not in report.violated_claims)
+
+    path = tmp_path / "tamo_barg.code"
+    path.write_text(serialize_code(lrc_12_6_3))
+    assert main(["analyze", str(path), "--json"]) == EXIT_CLAIM_VIOLATED
+    assert "VIOLATED CLAIMS: thm1, thm2, thm3" in capsys.readouterr().err
+
+
 def test_analysis_report_key_order(lrc_12_6_3):
     report = analysis_report(lrc_12_6_3)
     assert list(report) == ["params", "locality", "primal_hierarchy",

@@ -4,13 +4,14 @@ Each case names a code file under tests/golden/, the extra `analyze`
 arguments and the expected exit code.  The expected output sits next to the
 code file: `<case>.json` holds the report with `timings` removed (the only
 section that may differ between runs), `<case>.err` the error output of a
-refused code.  A case marked `dual` analyzes the dual of the code in its
+refused code.  A case also listed in TEXT_CASES has `<case>.txt`, the text
+output of `analyze` without its last line (the time line).  A case marked `dual` analyzes the dual of the code in its
 file, a code that misses a coordinate (`zero_coordinates`) and so cannot be
 written as a code file itself.  A construct case holds the file that
 `ghwkit construct` writes, comment lines included, as `<case>.code`.
 
 A diff is a bug in the change, not in the golden file.  To add a case, add
-it to CASES or CONSTRUCT_CASES and write its missing outputs, from a
+it to CASES, TEXT_CASES or CONSTRUCT_CASES and write its missing outputs, from a
 checkout of the commit the case should pin, with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -57,6 +58,11 @@ CASES = {
     "tamo_barg_16_15_9_4": ("tamo_barg_16_15_9_4", [], 0, False),
 }
 
+# cases of CASES whose text output is held as well: binary, non-binary,
+# promised locality, not distance-optimal
+TEXT_CASES = ("gf2_14_6", "tamo_barg_13_12_6_3", "tamo_barg_13_12_6_3_promised_r4",
+              "gf3_10_5")
+
 # case -> `construct` arguments
 CONSTRUCT_CASES = {
     "construct_tamo_barg_13_12_6_3": ["tamo-barg", "--q", "13", "--n", "12", "--k", "6",
@@ -89,6 +95,17 @@ def run_case(name: str) -> tuple[int, str, str]:
     return rc, comparable(json.loads(out.getvalue())), ".json"
 
 
+def run_text(name: str) -> tuple[int, str]:
+    """(exit code, text output without its time line) for one text case."""
+    stem, args, _, _ = CASES[name]
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        rc = main(["analyze", str(GOLDEN / f"{stem}.code"), *args])
+    lines = out.getvalue().splitlines(keepends=True)
+    assert lines[-1].startswith("analyze time: ")
+    return rc, "".join(lines[:-1])
+
+
 def run_construct(name: str, directory: Path) -> tuple[int, str]:
     """(exit code, file text) for one construct case."""
     target = directory / f"{name}.code"
@@ -102,6 +119,13 @@ def test_report_matches_golden(name):
     rc, text, suffix = run_case(name)
     assert rc == CASES[name][2]
     assert text == (GOLDEN / f"{name}{suffix}").read_text()
+
+
+@pytest.mark.parametrize("name", TEXT_CASES)
+def test_text_report_matches_golden(name):
+    rc, text = run_text(name)
+    assert rc == CASES[name][2]
+    assert text == (GOLDEN / f"{name}.txt").read_text()
 
 
 @pytest.mark.parametrize("name", sorted(CONSTRUCT_CASES))
@@ -125,6 +149,15 @@ if __name__ == "__main__":
         target = GOLDEN / f"{case}{suffix}"
         if target.exists():
             continue
+        target.write_text(text)
+        print(f"wrote {target.relative_to(GOLDEN.parent.parent)}")
+    for case in TEXT_CASES:
+        target = GOLDEN / f"{case}.txt"
+        if target.exists():
+            continue
+        rc, text = run_text(case)
+        if rc != CASES[case][2]:
+            sys.exit(f"{case}: exit {rc}, expected {CASES[case][2]}")
         target.write_text(text)
         print(f"wrote {target.relative_to(GOLDEN.parent.parent)}")
     with tempfile.TemporaryDirectory() as tmp:
