@@ -448,6 +448,19 @@ class Matrix:
         ns = Matrix(field, basis, ncols=self.ncols)
         return ns.rref().reduced
 
+    def nullspace_within(self, columns: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+        """Canonical basis of {v : M v^T = 0} restricted to vectors supported
+        inside `columns`, each row embedded at full length."""
+        sub = Matrix(self.field, [[row[c] for c in columns] for row in self.rows],
+                     ncols=len(columns))
+        basis = []
+        for srow in sub.nullspace().rows:
+            full = [0] * self.ncols
+            for c, e in zip(columns, srow):
+                full[c] = e
+            basis.append(tuple(full))
+        return tuple(basis)
+
     # -- misc ----------------------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:

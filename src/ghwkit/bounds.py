@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .code import LinearCode, SubcodeWitness
 from .ghw import DEFAULT_LIMIT_N, _deadline, _guard, weight_hierarchy
@@ -309,10 +309,13 @@ def prop2_bound(code: LinearCode, dual_hierarchy: Sequence[int], d: int,
 
 @dataclass(frozen=True)
 class ClaimVerdict:
+    """One claim's verdict.  ``payload`` holds, in order, the values the
+    JSON report prints after ``status`` and ``witness_index``."""
+
     claim: str
     status: str
     witness_index: int | None = None
-    detail: str = ""
+    payload: dict = field(default_factory=dict)
 
     @property
     def violated(self) -> bool:
@@ -330,7 +333,6 @@ class BoundReport:
     d: int
     promised_r: bool
     is_optimal: bool
-    singleton_like: int
     primal_hierarchy: tuple[int, ...]
     primal_gaps: tuple[int, ...]
     dual_hierarchy: tuple[int, ...]
@@ -338,10 +340,6 @@ class BoundReport:
     locality_profile: LocalityProfile
     mu: int
     rho: int
-    prop1: PropBound
-    prop2: PropBound
-    generalized_rows: tuple[dict, ...]
-    dual_rows: tuple[dict, ...]
     verdicts: tuple[ClaimVerdict, ...]
     witnesses: dict[int, SubcodeWitness] | None = None
     # Wall time of each phase in ms ("locality", "hierarchy"); not compared.
@@ -362,11 +360,21 @@ class BoundReport:
         raise KeyError(claim)
 
 
-def _first_failure(pairs) -> int | None:
-    for i, ok in pairs:
-        if not ok:
-            return i
-    return None
+def _status(ok: bool) -> str:
+    return HOLDS if ok else VIOLATED
+
+
+def _per_index(values: Sequence[int], bounds: Sequence[int],
+               holds: Callable[[int, int, int], bool],
+               row_key: str | None = None) -> tuple[str, int | None, dict]:
+    """Status, first failing index and payload of a claim checked as
+    ``holds(i, values[i-1], bounds[i-1])`` for every i.  With ``row_key``
+    the payload lists every row as ``per_i``."""
+    rows = list(enumerate(zip(values, bounds), start=1))
+    fail = next((i for i, (v, b) in rows if not holds(i, v, b)), None)
+    payload = {} if row_key is None else {
+        "per_i": [{"i": i, row_key: v, "bound": b} for i, (v, b) in rows]}
+    return _status(fail is None), fail, payload
 
 
 def certify_optimal(code: LinearCode, *, promised_r: int | None = None,
@@ -375,7 +383,8 @@ def certify_optimal(code: LinearCode, *, promised_r: int | None = None,
                     with_witnesses: bool = False,
                     profile: LocalityProfile | None = None) -> BoundReport:
     """Full certification of one code: exact locality, both hierarchies,
-    every claim verdict, and the optimality decision d = eq1 value.
+    every claim verdict (in ``CLAIM_IDS`` order), and the optimality
+    decision d = eq1 value.
 
     ``promised_r`` evaluates the claims at a caller-supplied locality
     parameter instead of the computed one; it must be a genuine upper
@@ -408,137 +417,77 @@ def certify_optimal(code: LinearCode, *, promised_r: int | None = None,
     dual_gaps = tuple(sorted(n + 1 - d_i for d_i in primal.values))  # Wei duality
     dual_values = tuple(sorted(set(range(1, n + 1)) - set(dual_gaps)))
     d = primal.values[0]
-    mu, rho = mu_rho(dual_values, n, k, d1=d)
+    mu, rho = mu_rho(dual_values, n, k)
     eq1_value = singleton_like_bound(n, k, r)
     optimal = d == eq1_value
-    r_divides = k % r == 0
-    t_floor = k // r
-    t_ceil = _ceil_div(k, r)
 
-    verdicts: list[ClaimVerdict] = []
+    def over(bound, count: int) -> list[int]:
+        return [bound(n, k, r, i) for i in range(1, count + 1)]
 
-    def record(claim: str, ok: bool, index: int | None = None, detail: str = "") -> None:
-        verdicts.append(ClaimVerdict(claim, HOLDS if ok else VIOLATED, index, detail))
-
-    def skip(claim: str, detail: str) -> None:
-        verdicts.append(ClaimVerdict(claim, NOT_APPLICABLE, None, detail))
-
-    # eq1 / thm1: distance and hierarchy against the Singleton-like forms.
-    record("eq1", d <= eq1_value, None, f"d={d} <= {eq1_value}")
-    thm1_fail = _first_failure(
-        (i, primal.values[i - 1] <= generalized_singleton_like_bound(n, k, r, i))
-        for i in range(1, k + 1))
-    record("thm1", thm1_fail is None, thm1_fail)
-
-    # lem1: two-branch dual hierarchy upper bound.
-    lem1_fail = _first_failure(
-        (i, dual_values[i - 1] <= dual_ghw_upper(n, k, r, i))
-        for i in range(1, n - k + 1))
-    record("lem1", lem1_fail is None, lem1_fail)
-
+    # claim -> (status, witness index, payload), evaluated in CLAIM_IDS order.
+    claims: dict[str, tuple[str, int | None, dict]] = {}
+    claims["eq1"] = (_status(d <= eq1_value), None, {"bound": eq1_value})
+    claims["thm1"] = _per_index(primal.values, over(generalized_singleton_like_bound, k),
+                                lambda i, v, b: v <= b, "d_i")
+    claims["lem1"] = _per_index(dual_values, over(dual_ghw_upper, n - k),
+                                lambda i, v, b: v <= b, "d_i_dual")
     # lem2: step bound over the stated range (clamped to existing indices).
-    lem2_ok, lem2_fail = dual_ghw_step_bound(dual_values, r, k)
-    record("lem2", lem2_ok, lem2_fail)
-
+    ok, fail = dual_ghw_step_bound(dual_values, r, k)
+    claims["lem2"] = (_status(ok), fail, {})
     # lem3: saturation. If dual d_i = i(r+1), every j < i saturates too.
-    lem3_fail = None
-    for i in range(2, min(t_floor, n - k) + 1):
-        ok, _ = dual_ghw_saturation(dual_values, r, i)
-        if not ok:
-            lem3_fail = i
-            break
-    record("lem3", lem3_fail is None, lem3_fail)
-
-    # lem4: dual gap lower bound.
-    lem4_fail = _first_failure(
-        (i, dual_gaps[i - 1] >= gap_lower_bound(r, i)) for i in range(1, k + 1))
-    record("lem4", lem4_fail is None, lem4_fail)
+    fail = next((i for i in range(2, min(k // r, n - k) + 1)
+                 if not dual_ghw_saturation(dual_values, r, i)[0]), None)
+    claims["lem3"] = (_status(fail is None), fail, {})
+    claims["lem4"] = _per_index(dual_gaps, [gap_lower_bound(r, i) for i in range(1, k + 1)],
+                                lambda i, v, b: v >= b)
 
     # thm2 / thm3: exact hierarchies, optimal codes with r | k only.
-    if optimal and r_divides:
-        expected_dual = optimal_dual_hierarchy(n, k, r)
-        thm2_fail = _first_failure(
-            (i, dual_values[i - 1] == expected_dual[i - 1])
-            for i in range(1, n - k + 1))
-        record("thm2", thm2_fail is None, thm2_fail)
-        expected_primal = optimal_primal_hierarchy(n, k, r)
-        thm3_fail = _first_failure(
-            (i, primal.values[i - 1] == expected_primal[i - 1])
-            for i in range(1, k + 1))
-        record("thm3", thm3_fail is None, thm3_fail)
-    else:
-        reason = "code is not distance-optimal" if not optimal else "r does not divide k"
-        skip("thm2", reason)
-        skip("thm3", reason)
+    for claim, values, exact in (("thm2", dual_values, optimal_dual_hierarchy),
+                                 ("thm3", primal.values, optimal_primal_hierarchy)):
+        if optimal and k % r == 0:
+            status, fail, _ = _per_index(values, exact(n, k, r), lambda i, v, b: v == b)
+            claims[claim] = (status, fail, {"expected": list(values) if fail is None else None})
+        else:
+            claims[claim] = (NOT_APPLICABLE, None, {"expected": None})
 
-    # lem5 / lem6 / thm4: optimal codes, any r.
+    # lem5 / lem6 / thm4: optimal codes, any r; lem5 is exact from ceil(k/r) on.
     if optimal:
-        def lem5_ok(i: int) -> bool:
-            bound = optimal_dual_ghw_lower(n, k, r, i)
-            if i >= t_ceil:
-                return dual_values[i - 1] == bound
-            return dual_values[i - 1] >= bound
-
-        lem5_fail = _first_failure((i, lem5_ok(i)) for i in range(1, n - k + 1))
-        record("lem5", lem5_fail is None, lem5_fail)
-        lem6_fail = _first_failure(
-            (i, dual_gaps[i - 1] <= optimal_gap_upper(n, k, r, i))
-            for i in range(1, k + 1))
-        record("lem6", lem6_fail is None, lem6_fail)
-        thm4_fail = _first_failure(
-            (i, primal.values[i - 1] >= optimal_primal_ghw_lower(n, k, r, i))
-            for i in range(1, k + 1))
-        record("thm4", thm4_fail is None, thm4_fail)
+        t = _ceil_div(k, r)
+        claims["lem5"] = _per_index(
+            dual_values, over(optimal_dual_ghw_lower, n - k),
+            lambda i, v, b: v == b if i >= t else v >= b, "d_i_dual")
+        claims["lem6"] = _per_index(dual_gaps, over(optimal_gap_upper, k),
+                                    lambda i, v, b: v <= b)
+        claims["thm4"] = _per_index(primal.values, over(optimal_primal_ghw_lower, k),
+                                    lambda i, v, b: v >= b, "d_i")
     else:
-        for claim in ("lem5", "lem6", "thm4"):
-            skip(claim, "code is not distance-optimal")
+        claims["lem5"] = (NOT_APPLICABLE, None, {"per_i": None})
+        claims["lem6"] = (NOT_APPLICABLE, None, {})
+        claims["thm4"] = (NOT_APPLICABLE, None, {"per_i": None})
 
-    # prop1 / prop2: field-size-aware surrogate bounds.
-    p1 = prop1_bound(code, dual_values, r=r)
-    p1_ok = d <= p1.value and (p1.lrc_value is None or d <= p1.lrc_value)
-    record("prop1", p1_ok, None,
-           f"d={d} <= {p1.value}" + (f", lrc {p1.lrc_value}" if p1.lrc_value is not None else ""))
-    p2 = prop2_bound(code, dual_values, d, r=r)
-    p2_ok = k <= p2.value and (p2.lrc_value is None or k <= p2.lrc_value)
-    record("prop2", p2_ok, None,
-           f"k={k} <= {p2.value}" + (f", lrc {p2.lrc_value}" if p2.lrc_value is not None else ""))
+    # prop1 / prop2: field-size-aware surrogate bounds on d and on k.
+    for claim, bound, value in (("prop1", prop1_bound(code, dual_values, r=r), d),
+                                ("prop2", prop2_bound(code, dual_values, d, r=r), k)):
+        ok = value <= bound.value and (bound.lrc_value is None or value <= bound.lrc_value)
+        payload = {"bound": bound.value, "lrc_bound": bound.lrc_value,
+                   "range_empty": bound.range_empty}
+        claims[claim] = (_status(ok), None, payload)
 
     # prop3 / prop4: distance identities through mu and rho.
-    record("prop3_mu", d == n - k - mu + 2, None, f"mu={mu}")
-    record("prop4_rho", d == n - k - rho + 1 and mu == rho + 1, None, f"rho={rho}")
-
-    generalized_rows = tuple(
-        {
-            "i": i,
-            "d_i": primal.values[i - 1],
-            "thm1": generalized_singleton_like_bound(n, k, r, i),
-            "thm4": optimal_primal_ghw_lower(n, k, r, i) if optimal else None,
-        }
-        for i in range(1, k + 1))
-    dual_rows = tuple(
-        {
-            "i": i,
-            "d_i_dual": dual_values[i - 1],
-            "lem1": dual_ghw_upper(n, k, r, i),
-            "lem5": optimal_dual_ghw_lower(n, k, r, i) if optimal else None,
-        }
-        for i in range(1, n - k + 1))
+    claims["prop3_mu"] = (_status(d == n - k - mu + 2), None, {"mu": mu})
+    claims["prop4_rho"] = (_status(d == n - k - rho + 1 and mu == rho + 1), None, {"rho": rho})
 
     return BoundReport(
         n=n, k=k, r=r, q=q, d=d,
         promised_r=promised_r is not None,
         is_optimal=optimal,
-        singleton_like=eq1_value,
         primal_hierarchy=primal.values,
         primal_gaps=primal.gaps,
         dual_hierarchy=dual_values,
         dual_gaps=dual_gaps,
         locality_profile=profile,
         mu=mu, rho=rho,
-        prop1=p1, prop2=p2,
-        generalized_rows=generalized_rows,
-        dual_rows=dual_rows,
-        verdicts=tuple(verdicts),
+        verdicts=tuple(ClaimVerdict(claim, *claims[claim]) for claim in CLAIM_IDS),
         witnesses=primal.witnesses,
         timings=timings,
     )

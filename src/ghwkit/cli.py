@@ -44,8 +44,8 @@ class CodeFileError(ValueError):
 def parse_code_file(text: str) -> LinearCode:
     entries: list[tuple[int, list[str]]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
             continue
         entries.append((lineno, line.split()))
 
@@ -145,40 +145,11 @@ def serialize_code(code: LinearCode, comments: Sequence[str] = ()) -> str:
 
 def _claim_payloads(report: BoundReport) -> dict:
     bounds: dict[str, dict] = {}
-
-    def entry(claim: str, **extra) -> None:
-        v = report.verdict(claim)
-        payload: dict = {"status": v.status}
+    for v in report.verdicts:
+        entry: dict = {"status": v.status}
         if v.witness_index is not None:
-            payload["witness_index"] = v.witness_index
-        payload.update(extra)
-        bounds[claim] = payload
-
-    entry("eq1", bound=report.singleton_like)
-    entry("thm1", per_i=[{"i": row["i"], "d_i": row["d_i"], "bound": row["thm1"]}
-                         for row in report.generalized_rows])
-    entry("lem1", per_i=[{"i": row["i"], "d_i_dual": row["d_i_dual"],
-                          "bound": row["lem1"]} for row in report.dual_rows])
-    entry("lem2")
-    entry("lem3")
-    entry("lem4")
-    entry("thm2", expected=list(report.dual_hierarchy)
-          if report.verdict("thm2").status == "holds" else None)
-    entry("thm3", expected=list(report.primal_hierarchy)
-          if report.verdict("thm3").status == "holds" else None)
-    entry("lem5", per_i=[{"i": row["i"], "d_i_dual": row["d_i_dual"],
-                          "bound": row["lem5"]} for row in report.dual_rows]
-          if report.is_optimal else None)
-    entry("lem6")
-    entry("thm4", per_i=[{"i": row["i"], "d_i": row["d_i"], "bound": row["thm4"]}
-                         for row in report.generalized_rows]
-          if report.is_optimal else None)
-    entry("prop1", bound=report.prop1.value, lrc_bound=report.prop1.lrc_value,
-          range_empty=report.prop1.range_empty)
-    entry("prop2", bound=report.prop2.value, lrc_bound=report.prop2.lrc_value,
-          range_empty=report.prop2.range_empty)
-    entry("prop3_mu", mu=report.mu)
-    entry("prop4_rho", rho=report.rho)
+            entry["witness_index"] = v.witness_index
+        bounds[v.claim] = {**entry, **v.payload}
     return bounds
 
 

@@ -176,16 +176,8 @@ def _sweep_hierarchy(check: Matrix, dims: int, *, collect_subsets: bool,
 
 def _witness_from_subset(code: LinearCode, subset: tuple[int, ...]) -> SubcodeWitness:
     """Basis of the subcode supported inside `subset`, embedded at full length."""
-    sub_matrix = Matrix(code.field, [[row[j] for j in subset] for row in code.check.rows],
-                        ncols=len(subset))
-    ns = sub_matrix.nullspace()
-    basis = []
-    for srow in ns.rows:
-        full = [0] * code.n
-        for pos, j in enumerate(subset):
-            full[j] = srow[pos]
-        basis.append(tuple(full))
-    return SubcodeWitness(basis=tuple(basis), dimension=ns.nrows, support=tuple(subset))
+    basis = code.check.nullspace_within(subset)
+    return SubcodeWitness(basis=basis, dimension=len(basis), support=tuple(subset))
 
 
 def _guard(code: LinearCode, limit_n: int) -> None:

@@ -23,7 +23,7 @@ from bisect import insort
 from dataclasses import dataclass
 from typing import Callable
 
-from .algebra import Matrix, reduce_against
+from .algebra import reduce_against
 from .code import CodeValidationError, LinearCode
 from .ghw import LimitError
 
@@ -172,13 +172,9 @@ def _cover_word(code: LinearCode, subset: tuple[int, ...], j: int) -> tuple[int,
     """The dual codeword on the minimal support `subset`, 1 at j; minimality
     makes the dual subcode on `subset` one-dimensional."""
     fld = code.field
-    (row,) = Matrix(fld, [[g[c] for c in subset] for g in code.generator.rows],
-                    ncols=len(subset)).nullspace().rows
-    scale = fld.inv(row[subset.index(j)])
-    word = [0] * code.n
-    for c, e in zip(subset, row):
-        word[c] = fld.mul(scale, e)
-    return tuple(word)
+    (row,) = code.generator.nullspace_within(subset)
+    scale = fld.inv(row[j])
+    return tuple(fld.mul(scale, e) for e in row)
 
 
 def _greedy_rows(code: LinearCode, cover: Callable[[int], tuple[int, ...] | None],

@@ -32,6 +32,17 @@ class TestParseCodeFile:
         text = "# a fixture\n\nq 2\n# length\nn 4\nk 2\n1 1 0 0\n\n0 0 1 1\n"
         assert parse_code_file(text) == pair_code
 
+    def test_trailing_comments(self, pair_code):
+        text = "q 2 # binary\nn 4#length\nk 2\n1 1 0 0 # first\n0 0 1 1\n"
+        assert parse_code_file(text) == pair_code
+
+    def test_readme_format_example(self, lrc_12_6_3):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        example = re.search(r"### Code file format\n.*?```\n(.*?)```", readme, re.S).group(1)
+        rows = "\n".join(serialize_code(lrc_12_6_3).splitlines()[-6:])
+        text = re.sub(r"<k rows[^\n]*>", rows, example)
+        assert parse_code_file(text) == lrc_12_6_3
+
     def test_extension_field_modulus(self):
         text = "q 4 modulus 1 1 1\nn 3\nk 1\n1 2 3\n"
         code = parse_code_file(text)

@@ -1,8 +1,9 @@
 """Promises about the package as shipped: runtime imports stay in the
-standard library, and the README's library tour runs and prints what it
-says it prints."""
+standard library, the README's library tour runs and prints what it says
+it prints, and every name the benchmark looks up exists."""
 
 import ast
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -50,3 +51,29 @@ def test_readme_library_tour():
         else:
             exec(code.strip(), namespace)
     assert checked >= 5
+
+
+# Names `perfbench/run.py` and `perfbench/spans.py` look up on the package.
+# The benchmark tolerates a missing one (the oracle check switches off, a
+# span reads 0 or a per-layer ratio divides by zero), so it is pinned here.
+BENCHMARK_NAMES = {
+    "ghwkit.cli": ("parse_code_file", "analysis_report"),
+    "ghwkit.bounds": ("certify_optimal",),
+    "ghwkit.locality": ("locality", "covering_rows", "UncoverableCoordinateError"),
+    "ghwkit.ghw": ("weight_hierarchy", "dual_hierarchy_values", "ghw_oracle"),
+    "ghwkit.algebra": ("Field", "Matrix.rref", "Matrix.nullspace"),
+    "ghwkit.code": ("LinearCode", "LinearCode.dual"),
+}
+
+
+def test_names_the_benchmark_looks_up_exist():
+    bench = "".join((ROOT / "perfbench" / f).read_text(encoding="utf-8")
+                    for f in ("run.py", "spans.py"))
+    for module, names in BENCHMARK_NAMES.items():
+        for name in names:
+            obj = importlib.import_module(module)
+            for part in name.split("."):
+                assert hasattr(obj, part), f"{module}.{name} is gone"
+                obj = getattr(obj, part)
+            assert callable(obj), f"{module}.{name}"
+            assert name.split(".")[-1] in bench, f"the benchmark no longer uses {name}"

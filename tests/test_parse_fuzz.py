@@ -68,6 +68,20 @@ def test_serialize_then_parse_gives_the_code_back(code):
     assert again == code and again.field == code.field
 
 
+# Comment text: anything that does not end the line.
+COMMENT = st.text(st.characters(blacklist_categories=("Cc", "Zl", "Zp")), max_size=10)
+
+
+@settings(max_examples=150, deadline=None)
+@given(codes(), st.data())
+def test_comments_after_any_line_are_ignored(code, data):
+    lines = serialize_code(code).splitlines()
+    for i in data.draw(st.sets(st.integers(0, len(lines) - 1), min_size=1)):
+        lines[i] += data.draw(st.sampled_from(("#", " #", "\t# "))) + data.draw(COMMENT)
+    again = parse_code_file("\n".join(lines) + "\n")
+    assert again == code and again.field == code.field
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.text(max_size=80))
 def test_arbitrary_text_parses_or_is_refused(text):
