@@ -25,7 +25,13 @@ from .bounds import (
 )
 from .code import LinearCode
 from .constructions import SplitMix64, random_code, tamo_barg
-from .ghw import check_wei_duality, dual_hierarchy_values, ghw_oracle, weight_hierarchy
+from .ghw import (
+    check_wei_duality,
+    dual_hierarchy_values,
+    ghw_oracle,
+    primal_hierarchy_values,
+    weight_hierarchy,
+)
 from .locality import UncoverableCoordinateError, locality
 
 DEFAULT_SEED = 2024
@@ -203,8 +209,12 @@ def run_lemmas(seed: int = DEFAULT_SEED, count: int = DEFAULT_COUNT) -> SuiteRes
         for v in report.verdicts:
             if v.violated and v.claim not in unconditional:
                 result.failures.append(f"{label}: {v.claim} violated")
-        # certify_optimal derives the dual hierarchy from the primal one by
-        # Wei duality; the independent dual sweep keeps a cross-check here.
+        # certify_optimal sweeps one side and derives the other by Wei
+        # duality; a sweep pinned to each side keeps both cross-checks here.
+        primal_values = primal_hierarchy_values(code)
+        if report.primal_hierarchy != primal_values:
+            result.failures.append(f"{label}: hierarchy {report.primal_hierarchy} "
+                                   f"!= check-side sweep {primal_values}")
         dual_values = dual_hierarchy_values(code)
         if report.dual_hierarchy != dual_values:
             result.failures.append(f"{label}: Wei-derived dual hierarchy "
@@ -310,9 +320,10 @@ def run_props(seed: int = DEFAULT_SEED, count: int = DEFAULT_COUNT) -> SuiteResu
     pool.extend(_random_codes(seed + 1, max(count // 4, 40)))
     for label, code in pool:
         result.codes += 1
-        hier = weight_hierarchy(code)
+        # d from H and the dual hierarchy from G: two sweeps, not one.
+        d1 = primal_hierarchy_values(code)[0]
         dual_values = dual_hierarchy_values(code)
-        _universal_checks(label, code, hier.values[0], dual_values, None, result)
+        _universal_checks(label, code, d1, dual_values, None, result)
 
     code = tamo_barg(13, 12, 6, 3)
     dual_values = dual_hierarchy_values(code)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations, product
 
 from ghwkit.algebra import Field, Matrix
 from ghwkit.code import LinearCode, support
@@ -33,6 +33,18 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 def is_zero(m: Matrix) -> bool:
     return not any(any(row) for row in m.rows)
+
+
+def first_excess_oracle(matrix: Matrix, s: int, need: int):
+    """The first size-s column subset S, in lex order, with
+    |S| - rank(columns S) >= need, as (excess, S); (need - 1, None) if none."""
+    for subset in combinations(range(matrix.ncols), s):
+        sub = Matrix(matrix.field, [[row[c] for c in subset] for row in matrix.rows],
+                     ncols=s)
+        excess = s - sub.rank()
+        if excess >= need:
+            return excess, subset
+    return need - 1, None
 
 
 def codewords(code: LinearCode, limit: int = 10**6):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ghwkit.algebra import Field, Matrix
+from ghwkit.bounds import certify_optimal
 from ghwkit.code import CodeValidationError, LinearCode, hamming_weight
 from ghwkit.constructions import random_code, reed_solomon
 from ghwkit.ghw import (
@@ -17,7 +18,7 @@ from ghwkit.ghw import (
     weight_hierarchy,
 )
 
-from oracles import contains, gk_dual, identity
+from oracles import contains, first_excess_oracle, gk_dual, identity
 
 # The package re-exports the function `ghw`, which hides the module.
 ghw_module = sys.modules["ghwkit.ghw"]
@@ -248,3 +249,106 @@ def test_binary_ghw_witnesses_match_generic_search(data):
         assert (d_i, witness.support) == (s, subset)
         if 2**code.k <= 64:
             assert d_i == ghw_oracle(code, i)
+
+
+def _field_columns(data, fld: Field, n: int) -> list[tuple[int, ...]]:
+    """n columns over `fld` with up to 4 rows: a few distinct columns, zero
+    included, drawn with repetition, and possibly no rows at all."""
+    m = data.draw(st.integers(0, 4), label="rows")
+    column = st.tuples(*[st.integers(0, fld.q - 1)] * m)
+    palette = data.draw(st.lists(column, min_size=1, max_size=n), label="palette")
+    return data.draw(st.lists(st.sampled_from(palette), min_size=n, max_size=n),
+                     label="columns")
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_kernels_return_the_first_subset_reaching_need(data):
+    """Both kernels stop at the first lex subset whose excess reaches need,
+    at every size and every threshold, over GF(2), GF(3) and GF(4)."""
+    fld = Field(*data.draw(st.sampled_from([(2, 1), (3, 1), (2, 2)]), label="field"))
+    n = data.draw(st.integers(1, 9), label="n")
+    cols = _field_columns(data, fld, n)
+    check = Matrix(fld, [list(row) for row in zip(*cols)], ncols=n)
+    packed = [sum(bit << i for i, bit in enumerate(col)) for col in cols]
+    for s in range(1, n + 1):
+        for need in range(1, s + 2):
+            expected = first_excess_oracle(check, s, need)
+            assert ghw_module._max_excess_for_size(cols, s, need, fld, None) == expected
+            if fld.q == 2:
+                assert ghw_module._max_excess_gf2(packed, s, need, None) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_hierarchy_matches_the_definition_on_both_sides(data):
+    """weight_hierarchy equals ghw_oracle at every index, for k on both sides
+    of n - k.  Unit vectors added to a random code put zero columns in its
+    H, and so in the G of its dual (a code with zero_coordinates)."""
+    q = data.draw(st.sampled_from([2, 3, 4]), label="q")
+    n = data.draw(st.integers(1, 8), label="n")
+    k = data.draw(st.integers(1, n), label="k")
+    base = random_code(q, n, k, data.draw(st.integers(0, 2**32), label="seed"))
+    units = data.draw(st.lists(st.integers(0, n - 1), max_size=2), label="units")
+    rows = [list(row) for row in base.generator.rows]
+    rows += [[int(j == u) for j in range(n)] for u in units]
+    code = LinearCode(base.field, rows)
+    codes = [code] if code.k == n else [code, code.dual()]
+    for c in codes:
+        if q**c.k > 64:
+            continue
+        values = weight_hierarchy(c).values
+        assert values == tuple(ghw_oracle(c, i) for i in range(1, c.k + 1))
+
+
+def _spy_sweeps(monkeypatch) -> list[Matrix]:
+    """Record the check matrix of every `_sweep_hierarchy` call."""
+    swept: list[Matrix] = []
+    original = ghw_module._sweep_hierarchy
+
+    def spy(check, *args, **kwargs):
+        swept.append(check)
+        return original(check, *args, **kwargs)
+
+    monkeypatch.setattr(ghw_module, "_sweep_hierarchy", spy)
+    return swept
+
+
+@pytest.mark.parametrize("k", [2, 8])
+def test_wei_duality_check_sweeps_both_sides(monkeypatch, k):
+    code = random_code(2, 10, k, seed=3)
+    swept = _spy_sweeps(monkeypatch)
+    assert check_wei_duality(code).holds
+    assert len(swept) == 2
+    assert swept[0] is code.check and swept[1] is code.generator
+
+
+@pytest.mark.parametrize("n, k, side", [(10, 4, "generator"), (10, 5, "check"),
+                                        (10, 6, "check")])
+def test_weight_hierarchy_sweeps_the_side_with_fewer_rows(monkeypatch, n, k, side):
+    code = random_code(2, n, k, seed=3)
+    expected = weight_hierarchy(code).values
+    swept = _spy_sweeps(monkeypatch)
+    assert weight_hierarchy(code).values == expected
+    assert swept == [getattr(code, side)]
+
+
+def test_low_rate_certification_sweeps_the_generator():
+    # A sweep of its H takes about 25 s; the sweep of its G, milliseconds.
+    report = certify_optimal(random_code(2, 24, 2, seed=1), time_limit=5.0)
+    assert report.primal_hierarchy == (15, 24)
+
+
+def test_wall_time_guard_on_the_generator_side():
+    code = random_code(2, 24, 11, seed=1)  # its G sweep visits far more than 1 024 nodes
+    start = time.monotonic()
+    with pytest.raises(LimitError, match=r"wall-time guard exceeded during hierarchy "
+                                         r"sweep \(generator side, size \d+ of 24\)"):
+        weight_hierarchy(code, time_limit=0.05)
+    assert time.monotonic() - start < 0.5
+
+
+def test_wall_time_guard_names_the_check_side():
+    code = random_code(2, 22, 11, seed=1)
+    with pytest.raises(LimitError, match=r"\(check side, size \d+ of 22\)"):
+        weight_hierarchy(code, time_limit=0.05)
