@@ -5,44 +5,38 @@ The i-th hierarchy value of a code C with parity-check matrix H is
     d_i = min{ |S| : |S| - rank(H_S) >= i },
 
 because the subcode of C supported inside a coordinate set S has dimension
-|S| - rank(H_S), its excess.  A single ascending sweep over support sizes
-s = 1..n finds all d_i at once.  The largest excess e(s) over size-s subsets
-never falls as s grows and rises by at most 1 per step (dropping one column
+|S| - rank(H_S), its excess.  The largest excess e(s) over size-s subsets
+never falls as s grows and rises by at most 1 per step (a column dropped
 from a size-s argmax costs at most 1), so d_i is the size where e(s) first
-reaches i.  Each size therefore asks one question: which is the first
-subset, in lex order, whose excess reaches need = e(s-1) + 1?  That subset
-is also the first argmax at size s, and the search stops there.  Subsets are
-enumerated lexicographically with an incremental column basis, and a branch
-is pruned once its rank so far rules the need out.
+reaches i, and one ascending sweep over s = 1..n finds all d_i: each size
+asks for the first lex subset whose excess reaches need = e(s-1) + 1, which
+is also the first argmax at size s.
 
 The sweep runs over whichever of H and G has fewer rows.  G is the check
-matrix of the dual code, so a sweep over G gives the dual hierarchy
-d_1(C⊥)..d_(n-k)(C⊥), and Wei duality (V. K. Wei, IEEE Trans. IT 37(5),
-1991) reads the hierarchy of C off it as {1..n} minus {n+1 - d_j(C⊥)}.
-`weight_hierarchy` sweeps G when k < n - k and H otherwise.  The witness
-subsets come from H in both cases: on the G side, one search on H at each
-size d_i, with the need the H sweep would ask there.  `check_wei_duality`
-pins one sweep to each side, so the identity it checks is never a sweep
-compared with itself.
+matrix of the dual code, and Wei duality (V. K. Wei, IEEE Trans. IT 37(5),
+1991) reads the hierarchy of C off the dual one as {1..n} minus
+{n+1 - d_j(C⊥)}.  Witness subsets always come from H: on the G side, one
+search on H at each size d_i with need i.  `check_wei_duality` pins one
+sweep to each side, so it never compares a sweep with itself.
 
-Over GF(2) the search takes a packed route (`_max_excess_gf2`): each column
-is packed into one int once per code, and each search node carries the
-remaining columns already reduced against the chosen ones, so a candidate
-raises the rank exactly when its reduced column is nonzero, and choosing a
-column XORs it into the later columns that share its lowest set bit (the
-packing follows M4RI: Albrecht, Bard, Hart, "Algorithm 898", ACM TOMS 37(1),
-2010).  It visits the same nodes in the same order as the generic route and
-returns the same subsets.  `_size_search` picks the route from the field;
-every other field reduces element lists against a basis
-(`_max_excess_for_size`).
+Two kernels walk column subsets in lex order and answer one question: the
+first subset S of size s with need <= |S| - rank(S) <= max_excess and a
+target in span(S).  The sweep asks with no target and no cap.  The cover
+search of `ghwkit.locality` asks with need = max_excess = 0, target G_j and
+a node count shared across its calls, which tells it when to walk the dual
+code instead.  Over GF(2), `_max_excess_gf2` packs each column into an int
+and carries the later columns reduced against the chosen ones (the packing
+follows M4RI: Albrecht, Bard, Hart, "Algorithm 898", ACM TOMS 37(1), 2010).
+It visits the same nodes as `_max_excess_for_size`, which every other field
+takes and which reduces element lists against a pivot basis.
 
-``ghw_oracle`` recomputes d_i straight from the definition by enumerating
-every i-dimensional subcode once (canonical RREF bases over the message
-space) and exists solely to validate the subset-rank route.
+``ghw_oracle`` recomputes d_i from the definition, enumerating every
+i-dimensional subcode once, and exists only to validate the sweep.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from bisect import insort
 from dataclasses import dataclass
@@ -66,115 +60,156 @@ class LimitError(RuntimeError):
 # Subset-rank sweep
 
 
-def _max_excess_for_size(cols, s, need, fld, deadline):
-    """The first subset S with |S| = s, in lex order, whose excess
-    |S| - rank(columns S) reaches `need`, as (excess, S); (need - 1, None)
-    when no subset reaches it.
+class _OverBudget(Exception):
+    """A kernel call took its shared node count past the count's limit."""
 
-    With need = e(s-1) + 1 the subset returned is the first argmax at size
-    s; for a smaller need it need not be a maximum.
+
+@dataclass
+class _Nodes:
+    """Kernel nodes visited over the calls sharing it; raise past `limit`."""
+
+    limit: float = math.inf
+    visited: int = 0
+
+
+def _alarm(ticks: int, limit: float, deadline: float | None) -> float:
+    """Raise past `limit` nodes or the deadline; else the count to look again at."""
+    if ticks > limit:
+        raise _OverBudget
+    if deadline is not None and time.monotonic() > deadline:
+        raise LimitError(_WALL_TIME)
+    return min(limit, ticks + 1024)
+
+
+def _max_excess_for_size(cols, s, need, fld, deadline, max_excess=None, target=None,
+                         nodes=None):
+    """The first subset S of size s, in lex order, with
+    need <= |S| - rank(columns S) <= max_excess (None: no cap) and `target`
+    in the span of columns S (None: any S), as (excess, S); (need - 1, None)
+    when there is none.  Excess never falls along a DFS path, so at the cap
+    a dependent column is pruned.  Each DFS call counts one node on `nodes`.
     """
-    n = len(cols)
-    max_rank = s - need  # a subset reaches need exactly when its rank is at most this
-    found: list[int] = []
-    mul, inv = fld.mul, fld.inv
+    n, max_rank = len(cols), s - need  # need is reached exactly up to this rank
+    floor = 0 if max_excess is None else s - max_excess  # rank + remaining at the cap
+    nodes = nodes or _Nodes()
+    ticks, limit = nodes.visited, nodes.limit
+    alarm = _alarm(ticks, limit, deadline)
+    found, chosen = [], []
+    sub, mul, inv = fld.sub, fld.mul, fld.inv
     basis: list[tuple[int, list[int]]] = []
-    chosen: list[int] = []
-    ticks = [0]
 
-    def extend(start: int, remaining: int) -> bool:
-        ticks[0] += 1
-        if deadline is not None and ticks[0] % 1024 == 0 and time.monotonic() > deadline:
-            raise LimitError(_WALL_TIME)
-        last = n - remaining
-        for j in range(start, last + 1):
+    def extend(start: int, remaining: int, rest: list[int] | None) -> bool:
+        # `rest` is the target reduced against `basis`: zero iff it is in the span.
+        nonlocal ticks, alarm
+        ticks += 1
+        if ticks > alarm:
+            alarm = _alarm(ticks, limit, deadline)
+        rank = len(basis)
+        for j in range(start, n - remaining + 1):
             vec = list(cols[j])
             piv = reduce_against(vec, basis, fld)
-            new_rank = len(basis) + (piv >= 0)
-            if new_rank > max_rank:
+            if piv < 0:
+                if rank + remaining == floor:
+                    continue
+            elif rank == max_rank:
                 continue
-            chosen.append(j)
             if remaining == 1:
-                found.append(new_rank)
+                if rest is not None:  # is rest a multiple of vec (zero when vec is)?
+                    c = mul(rest[piv], inv(vec[piv])) if piv >= 0 else 0
+                    if any(a != mul(c, b) for a, b in zip(rest, vec)):
+                        continue
+                chosen.append(j)
+                found.append(s - rank - (piv >= 0))
                 return True
+            chosen.append(j)
             if piv >= 0:
                 sc = inv(vec[piv])
                 if sc != 1:
                     vec = [mul(sc, e) for e in vec]
+                c = rest[piv] if rest else 0
                 entry = (piv, vec)
                 insort(basis, entry)
-                if extend(j + 1, remaining - 1):
+                if extend(j + 1, remaining - 1,
+                          [sub(a, mul(c, b)) for a, b in zip(rest, vec)] if c else rest):
                     return True
                 basis.remove(entry)
-            elif extend(j + 1, remaining - 1):
+            elif extend(j + 1, remaining - 1, rest):
                 return True
             chosen.pop()
         return False
 
-    if max_rank < 0 or not extend(0, s):
-        return need - 1, None
-    return s - found[0], tuple(chosen)
+    hit = max_rank >= floor and extend(0, s, None if target is None else list(target))
+    nodes.visited = ticks
+    return (found[0], tuple(chosen)) if hit else (need - 1, None)
 
 
-def _max_excess_gf2(cols: list[int], s, need, deadline):
-    """`_max_excess_for_size` over GF(2), on columns packed into ints: the
-    same nodes in the same order, the same pruning, the same return.
-
+def _max_excess_gf2(cols: list[int], s, need, deadline, max_excess=None, target=0,
+                    nodes=None):
+    """`_max_excess_for_size` over GF(2), on columns and a target packed into
+    ints (target 0: none): the same nodes, order, pruning, count and return.
     XORing a chosen reduced column v into each later column with v's lowest
-    set bit keeps every later column zero at the chosen pivots, so it is
-    zero exactly when it lies in the span of the chosen columns.
+    set bit keeps them zero at the chosen pivots, so one is zero exactly when
+    it lies in the span.  A nonzero target trails the columns, reduced alike.
     """
-    n = len(cols)
-    max_rank = s - need
-    found: list[int] = []
-    chosen: list[int] = []
-    ticks = 0
+    n, max_rank = len(cols), s - need
+    floor = 0 if max_excess is None else s - max_excess
+    nodes = nodes or _Nodes()
+    ticks, limit = nodes.visited, nodes.limit
+    alarm = _alarm(ticks, limit, deadline)
+    found, chosen = [], []
 
     def extend(red: list[int], start: int, rank: int, remaining: int) -> bool:
         # red[j - start] is column j reduced against the chosen columns.
-        nonlocal ticks
+        nonlocal ticks, alarm
         ticks += 1
-        if deadline is not None and ticks % 1024 == 0 and time.monotonic() > deadline:
-            raise LimitError(_WALL_TIME)
-        last = n - remaining
-        for j in range(start, last + 1):
+        if ticks > alarm:
+            alarm = _alarm(ticks, limit, deadline)
+        for j in range(start, n - remaining + 1):
             v = red[j - start]
-            new_rank = rank + 1 if v else rank
-            if new_rank > max_rank:
+            if v:
+                if rank == max_rank:
+                    continue
+            elif rank + remaining == floor:
                 continue
-            chosen.append(j)
             if remaining == 1:
-                found.append(new_rank)
+                if target and red[-1] and red[-1] != v:  # the target stays out of the span
+                    continue
+                chosen.append(j)
+                found.append(s - rank - (v != 0))
                 return True
+            chosen.append(j)
             if v:
                 low = v & -v
                 if extend([r ^ v if r & low else r for r in red[j + 1 - start:]],
-                          j + 1, new_rank, remaining - 1):
+                          j + 1, rank + 1, remaining - 1):
                     return True
             elif extend(red[j + 1 - start:], j + 1, rank, remaining - 1):
                 return True
             chosen.pop()
         return False
 
-    if max_rank < 0 or not extend(cols, 0, 0, s):
-        return need - 1, None
-    return s - found[0], tuple(chosen)
+    hit = max_rank >= floor and extend([*cols, target] if target else cols, 0, 0, s)
+    nodes.visited = ticks
+    return (found[0], tuple(chosen)) if hit else (need - 1, None)
+
+
+def _kernel(cols, fld):
+    """The columns as the kernel for `fld` takes them (packed ints over GF(2)),
+    and that kernel as (cols, s, need, deadline, **contract)."""
+    if fld.q == 2:
+        return [sum(bit << i for i, bit in enumerate(col)) for col in cols], _max_excess_gf2
+    return cols, lambda c, s, need, deadline, **contract: _max_excess_for_size(
+        c, s, need, fld, deadline, **contract)
 
 
 def _size_search(check: Matrix, side: str = "check"):
-    """(s, need, deadline) -> `_max_excess_for_size` on the columns of
-    `check`, through the packed kernel when the field is GF(2).  A guard
-    error names the side of the duality and the size it stopped at."""
-    cols, fld = check.columns(), check.field
-    packed = [sum(bit << i for i, bit in enumerate(col)) for col in cols] if fld.q == 2 else None
+    """(s, need, deadline) -> the kernel's answer on the columns of `check`.
+    A guard error names the side of the duality and the size it stopped at."""
+    cols, kernel = _kernel(check.columns(), check.field)
 
     def search(s, need, deadline):
         try:
-            if deadline is not None and time.monotonic() > deadline:
-                raise LimitError(_WALL_TIME)
-            if packed is not None:
-                return _max_excess_gf2(packed, s, need, deadline)
-            return _max_excess_for_size(cols, s, need, fld, deadline)
+            return kernel(cols, s, need, deadline)
         except LimitError as exc:
             raise LimitError(f"{exc} ({side} side, size {s} of {check.ncols})") from None
 
@@ -185,18 +220,16 @@ def _sweep_hierarchy(check: Matrix, dims: int, *, side: str, deadline: float | N
     """d_1..d_dims for the code with the given check matrix, and for each
     the first subset that reaches it."""
     search = _size_search(check, side)
-    values: list[int] = []
-    subsets: list[tuple[int, ...]] = []
+    subsets: dict[int, tuple[int, ...]] = {}  # d_i -> the first subset reaching it
     for s in range(1, check.ncols + 1):
-        if len(values) == dims:
+        if len(subsets) == dims:
             break
-        _, subset = search(s, len(values) + 1, deadline)
+        _, subset = search(s, len(subsets) + 1, deadline)
         if subset is not None:
-            values.append(s)
-            subsets.append(subset)
-    if len(values) < dims:  # pragma: no cover - rank(check) = n - dims guarantees completion
+            subsets[s] = subset
+    if len(subsets) < dims:  # pragma: no cover - rank(check) = n - dims guarantees completion
         raise RuntimeError("hierarchy sweep did not resolve every index")
-    return values, subsets
+    return list(subsets), list(subsets.values())
 
 
 def _wei_complement(n: int, values: Sequence[int]) -> tuple[int, ...]:
@@ -244,16 +277,28 @@ class WeightHierarchy:
         return self.values[i]
 
 
+def _hierarchy(code: LinearCode, dims: int, witnessed, deadline: float | None):
+    """d_1..d_dims by the side choice, and for each i in `witnessed` the first
+    subset of H reaching d_i (after a G sweep, one H search: size d_i, need i)."""
+    n, k = code.n, code.k
+    if k >= n - k:
+        values, subsets = _sweep_hierarchy(code.check, dims, side="check", deadline=deadline)
+        return values, {i: subsets[i - 1] for i in witnessed}
+    dual, _ = _sweep_hierarchy(code.generator, n - k, side="generator", deadline=deadline)
+    values = _wei_complement(n, dual)[:dims]
+    search = _size_search(code.check)
+    return values, {i: search(values[i - 1], i, deadline)[1] for i in witnessed}
+
+
 def ghw(code: LinearCode, i: int, *, with_witness: bool = True,
         limit_n: int = DEFAULT_LIMIT_N, time_limit: float | None = None):
-    """The i-th hierarchy value and (optionally) a witness subcode."""
+    """The i-th hierarchy value, by the side choice of `weight_hierarchy`, and
+    (optionally) a witness subcode on the first subset of H reaching it."""
     if not 1 <= i <= code.k:
         raise ValueError(f"index i={i} outside 1..k={code.k}")
     _guard(code, limit_n)
-    values, subsets = _sweep_hierarchy(code.check, i, side="check",
-                                       deadline=_deadline(time_limit))
-    witness = _witness_from_subset(code, subsets[-1]) if with_witness else None
-    return values[-1], witness
+    values, subsets = _hierarchy(code, i, [i] if with_witness else [], _deadline(time_limit))
+    return values[-1], _witness_from_subset(code, subsets[i]) if with_witness else None
 
 
 def weight_hierarchy(code: LinearCode, *, with_witnesses: bool = False,
@@ -264,22 +309,11 @@ def weight_hierarchy(code: LinearCode, *, with_witnesses: bool = False,
     first subsets the H sweep reaches each d_i with; on the G side they cost
     one search on H per d_i."""
     _guard(code, limit_n)
-    deadline = _deadline(time_limit)
-    n, k = code.n, code.k
-    if k < n - k:
-        dual_values, _ = _sweep_hierarchy(code.generator, n - k, side="generator",
-                                          deadline=deadline)
-        values = _wei_complement(n, dual_values)
-        if with_witnesses:
-            search = _size_search(code.check)
-            subsets = [search(d_i, i, deadline)[1] for i, d_i in enumerate(values, 1)]
-    else:
-        values, subsets = _sweep_hierarchy(code.check, k, side="check", deadline=deadline)
-    witnesses = None
-    if with_witnesses:
-        witnesses = {i: _witness_from_subset(code, subset)
-                     for i, subset in enumerate(subsets, 1)}
-    gaps = tuple(sorted(set(range(1, n + 1)) - set(values)))
+    values, subsets = _hierarchy(code, code.k, range(1, code.k + 1) if with_witnesses else [],
+                                 _deadline(time_limit))
+    witnesses = ({i: _witness_from_subset(code, subset) for i, subset in subsets.items()}
+                 if with_witnesses else None)
+    gaps = tuple(sorted(set(range(1, code.n + 1)) - set(values)))
     return WeightHierarchy(code=code, values=tuple(values), gaps=gaps, witnesses=witnesses)
 
 
@@ -353,8 +387,7 @@ def check_wei_duality(code: LinearCode, *, limit_n: int = DEFAULT_LIMIT_N,
         expected = (n + 1) - dual_gaps[k - i]
         if primal[i - 1] != expected:
             gap_ok = False
-            violations.append(f"gap identity at i={i}: d_i={primal[i - 1]} "
-                              f"!= {expected}")
+            violations.append(f"gap identity at i={i}: d_i={primal[i - 1]} != {expected}")
     return DualityReport(holds=complement_ok and gap_ok,
                          complement_identity=complement_ok,
                          gap_identity=gap_ok,

@@ -2,39 +2,38 @@
 
 The locality of coordinate j is min{wt(h) - 1 : h in the dual, h_j != 0}:
 the size of the smallest set T of generator columns, j not in T, with G_j in
-span(G_T).  An incremental-basis DFS finds it: for sizes 1, 2, ... it walks
-the independent column sets T in ascending order, carrying G_j reduced
-against the basis, and the first T that reduces G_j to zero gives the
-lexicographically first minimal support T + {j}.  Columns that reduce to zero
-are skipped: at the minimal size a dependent T would contain a smaller cover.
-A zero column G_j gives locality 0.  A coordinate whose check-matrix column
-is zero (e_j is a codeword) lies in no dual codeword support and raises.
+span(G_T).  The search has no subset walk of its own.  For sizes 1, 2, ...
+it asks the kernel of `ghwkit.ghw` for the field (packed ints over GF(2))
+for the first T among the other columns, in lex order, with excess
+need = max_excess = 0 and target G_j; T + {j} is then the lexicographically
+first minimal support.  The cap prunes dependent columns: at the minimal
+size a dependent T would contain a smaller cover.  A zero column G_j gives
+locality 0.  A coordinate whose check-matrix column is zero (e_j is a
+codeword) lies in no dual codeword support and raises.
 
-The DFS visits about C(n-1, s) sets for a cover of size s, so it is slow on
-high-rate codes, whose covers are large while their duals are small.  Once
-it has cost as much as walking all q^(n-k) dual codewords would, the search
-walks them instead; both routes give the same supports.
+The kernels visit about C(n-1, s) sets for a cover of size s, so the search
+is slow on high-rate codes, whose covers are large and whose duals small.
+Once the kernels have cost as much as walking all q^(n-k) dual codewords
+would, the search walks them instead; both routes give the same supports.
 """
 
 from __future__ import annotations
 
+import math
 import time
-from bisect import insort
 from dataclasses import dataclass
 from typing import Callable
 
-from .algebra import reduce_against
 from .code import CodeValidationError, LinearCode
-from .ghw import LimitError
+from .ghw import LimitError, _kernel, _Nodes, _OverBudget
 
 
-# One DFS node costs about as much as walking four dual codewords (5-23 us
-# against 3-7 us in pure Python on the benchmark's code pools).
+# One kernel node costs about as much as walking four dual codewords: 5-23 us
+# against 3-7 us in pure Python, measured on the generic (element-list) route
+# on the benchmark's code pools.  The packed GF(2) route is cheaper per node;
+# changing the value would change which codes walk.
 _WORDS_PER_NODE = 4
-
-
-class _OverBudget(Exception):
-    """The cover DFS has cost as much as walking every dual codeword."""
+_WALL_TIME = "wall-time guard exceeded during locality search"
 
 
 class UncoverableCoordinateError(CodeValidationError):
@@ -51,9 +50,15 @@ class LocalityProfile:
     covering_rows: tuple[tuple[int, ...], ...]
 
 
-def _guard_redundancy(code: LinearCode) -> None:
+def _guard(code: LinearCode, *, covered: bool = False) -> None:
+    """Refuse a code with k = n and, when `covered`, one with a coordinate
+    in no dual codeword support."""
     if code.k >= code.n:
         raise CodeValidationError("code has no redundancy (k = n): locality undefined")
+    bad = _uncoverable(code) if covered else []
+    if bad:
+        raise UncoverableCoordinateError(
+            f"coordinate(s) {[j + 1 for j in bad]} lie in no dual codeword support")
 
 
 def _uncoverable(code: LinearCode) -> list[int]:
@@ -77,12 +82,12 @@ def _dual_supports(code: LinearCode, cap: int,
         span: list[tuple[int, ...]] = [(0,) * code.n]
         for row in part:
             scaled = [tuple(mul(c, e) for e in row) for c in range(1, fld.q)]
-            span.extend(tuple(map(add, w, s)) for w in list(span) for s in scaled)
+            span += [tuple(map(add, w, s)) for w in span for s in scaled]
         halves.append(span)
     best: list[tuple[int, ...] | None] = [None] * code.n
     for low in halves[0]:
         if deadline is not None and time.monotonic() > deadline:
-            raise LimitError("wall-time guard exceeded during locality search")
+            raise LimitError(_WALL_TIME)
         for high in halves[1]:
             supp = tuple(j for j, e in enumerate(map(add, low, high)) if e)
             if not supp or len(supp) > cap + 1:
@@ -99,70 +104,36 @@ def _cover_search(code: LinearCode, cap: int,
     """j -> the lexicographically first smallest support of a dual codeword
     covering j, with at most cap + 1 coordinates; None when there is none.
 
-    Once the DFS has visited q^(n-k) / _WORDS_PER_NODE nodes over all calls,
-    it has cost about as much as walking every dual codeword, and the search
-    switches to `_dual_supports` for good.  High-rate codes, whose covers are
-    large and whose duals are small, take that route.
+    Once the kernels have visited q^(n-k) / _WORDS_PER_NODE nodes over all
+    calls, they have cost about as much as walking every dual codeword, and
+    the search switches to `_dual_supports` for good.
     """
-    fld = code.field
-    sub, mul, inv = fld.sub, fld.mul, fld.inv
     cols = code.generator.columns()
+    vecs, kernel = _kernel(cols, code.field)
     uncoverable = set(_uncoverable(code))
-    words, per_node = fld.q ** (code.n - code.k), _WORDS_PER_NODE
-    nodes = 0
+    words, per_node = code.field.q ** (code.n - code.k), _WORDS_PER_NODE
+    nodes = _Nodes(words // per_node if per_node else math.inf)
     walked: list[tuple[int, ...] | None] | None = None
-
-    def first_cover(j: int) -> tuple[int, ...] | None:
-        if not any(cols[j]):
-            return (j,)
-        others = [c for c in range(code.n) if c != j]
-        basis: list[tuple[int, list[int]]] = []
-
-        def extend(start: int, remaining: int, rest: list[int]) -> tuple[int, ...] | None:
-            # `rest` is G_j reduced against `basis`: zero iff G_j is in the span.
-            nonlocal nodes
-            nodes += 1
-            if nodes * per_node > words:
-                raise _OverBudget
-            if deadline is not None and nodes % 1024 == 0 and time.monotonic() > deadline:
-                raise LimitError("wall-time guard exceeded during locality search")
-            for i in range(start, len(others) - remaining + 1):
-                vec = list(cols[others[i]])
-                piv = reduce_against(vec, basis, fld)
-                if piv < 0:
-                    continue
-                sc = inv(vec[piv])
-                if sc != 1:
-                    vec = [mul(sc, e) for e in vec]
-                c = rest[piv]
-                new_rest = [sub(a, mul(c, b)) for a, b in zip(rest, vec)] if c else rest
-                if remaining == 1:
-                    if not any(new_rest):
-                        return (others[i],)
-                    continue
-                entry = (piv, vec)
-                insort(basis, entry)
-                found = extend(i + 1, remaining - 1, new_rest)
-                basis.remove(entry)
-                if found:
-                    return (others[i], *found)
-            return None
-
-        for size in range(1, cap + 1):
-            found = extend(0, size, list(cols[j]))
-            if found:
-                return tuple(sorted((j, *found)))
-        return None
 
     def cover(j: int) -> tuple[int, ...] | None:
         nonlocal walked
         if walked is None:
             if j in uncoverable:
                 return None
+            if not any(cols[j]):
+                return (j,)
+            others = vecs[:j] + vecs[j + 1:]
             try:
-                return first_cover(j)
+                for size in range(1, cap + 1):
+                    _, found = kernel(others, size, 0, deadline, max_excess=0,
+                                      target=vecs[j], nodes=nodes)
+                    if found is not None:
+                        return tuple(sorted((j, *(i + (i >= j) for i in found))))
+                return None
             except _OverBudget:
                 walked = _dual_supports(code, cap, deadline)
+            except LimitError:
+                raise LimitError(_WALL_TIME) from None
         return walked[j]
 
     return cover
@@ -194,7 +165,7 @@ def _greedy_rows(code: LinearCode, cover: Callable[[int], tuple[int, ...] | None
 
 def coordinate_locality(code: LinearCode, j: int) -> int:
     """Locality of coordinate j (0-based): min covering dual weight minus one."""
-    _guard_redundancy(code)
+    _guard(code)
     if not 0 <= j < code.n:
         raise IndexError(f"coordinate {j} out of range")
     subset = _cover_search(code, code.k)(j)
@@ -207,11 +178,7 @@ def coordinate_locality(code: LinearCode, j: int) -> int:
 def locality(code: LinearCode, *, _deadline: float | None = None) -> LocalityProfile:
     """Exact locality profile; r is the maximum per-coordinate locality.
     The search raises `LimitError` once `time.monotonic()` passes `_deadline`."""
-    _guard_redundancy(code)
-    bad = _uncoverable(code)
-    if bad:
-        raise UncoverableCoordinateError(
-            f"coordinate(s) {[j + 1 for j in bad]} lie in no dual codeword support")
+    _guard(code, covered=True)
     # Every coordinate has a cover of size at most k: the other columns span.
     cover = _cover_search(code, code.k, _deadline)
     supports = [cover(j) for j in range(code.n)]
@@ -228,7 +195,7 @@ def covering_rows(code: LinearCode, r: int) -> list[tuple[int, ...]]:
     Every row has weight <= r+1 and covers a previously uncovered coordinate,
     so the rows are linearly independent.
     """
-    _guard_redundancy(code)
+    _guard(code, covered=True)
     if r < 1:
         raise ValueError(f"locality parameter must be >= 1, got {r}")
     return _greedy_rows(code, _cover_search(code, r), r)

@@ -6,7 +6,7 @@ from itertools import combinations, product
 
 from ghwkit.algebra import Field, Matrix
 from ghwkit.code import LinearCode, support
-from ghwkit.ghw import dual_hierarchy_values, ghw
+from ghwkit.ghw import dual_hierarchy_values, primal_hierarchy_values
 
 
 def identity(field: Field, n: int) -> Matrix:
@@ -35,15 +35,22 @@ def is_zero(m: Matrix) -> bool:
     return not any(any(row) for row in m.rows)
 
 
-def first_excess_oracle(matrix: Matrix, s: int, need: int):
+def first_excess_oracle(matrix: Matrix, s: int, need: int, max_excess: int | None = None,
+                        target=None):
     """The first size-s column subset S, in lex order, with
-    |S| - rank(columns S) >= need, as (excess, S); (need - 1, None) if none."""
+    need <= |S| - rank(columns S) <= max_excess (no cap when None) and
+    `target` in the span of columns S (any S when None), as (excess, S);
+    (need - 1, None) if none."""
     for subset in combinations(range(matrix.ncols), s):
-        sub = Matrix(matrix.field, [[row[c] for c in subset] for row in matrix.rows],
-                     ncols=s)
-        excess = s - sub.rank()
-        if excess >= need:
-            return excess, subset
+        rows = [[row[c] for c in subset] for row in matrix.rows]
+        rank = Matrix(matrix.field, rows, ncols=s).rank()
+        excess = s - rank
+        if excess < need or (max_excess is not None and excess > max_excess):
+            continue
+        if target is not None and rank != Matrix(
+                matrix.field, [[*row, t] for row, t in zip(rows, target)], ncols=s + 1).rank():
+            continue
+        return excess, subset
     return need - 1, None
 
 
@@ -67,7 +74,8 @@ def gk_dual(code: LinearCode) -> int:
 
     Cross-checks the max characterization (largest k+i with dual d_i < k+i),
     the min characterization (smallest k+i with dual d_i = k+i, minus one)
-    and the relation d_1 = n+1 - g_k of the dual; any disagreement raises.
+    and the relation d_1 = n+1 - g_k of the dual, with d_1 from a sweep of H
+    and the dual values from a sweep of G; any disagreement raises.
     """
     n, k = code.n, code.k
     dual_values = dual_hierarchy_values(code)
@@ -81,7 +89,7 @@ def gk_dual(code: LinearCode) -> int:
     if dual_gaps[-1] != max_form:
         raise RuntimeError(f"computed dual gaps give {dual_gaps[-1]}, "
                            f"characterization gives {max_form}")
-    d1, _ = ghw(code, 1, with_witness=False)
+    d1 = primal_hierarchy_values(code)[0]
     if d1 != n + 1 - max_form:
         raise RuntimeError(f"d_1={d1} but n+1-g_k = {n + 1 - max_form}")
     return max_form

@@ -279,6 +279,69 @@ def test_kernels_return_the_first_subset_reaching_need(data):
                 assert ghw_module._max_excess_gf2(packed, s, need, None) == expected
 
 
+def _pack(col) -> int:
+    return sum(bit << i for i, bit in enumerate(col))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_kernels_meet_the_contract_with_a_cap_and_a_target(data):
+    """Both kernels return the first lex subset with need <= excess <=
+    max_excess and the target in its span, at every size, need and cap, over
+    GF(2), GF(3) and GF(4), for a target drawn from the column palette (zero
+    included) or none.  On binary input the packed and generic kernels count
+    the same nodes, one shared count over all calls included."""
+    fld = Field(*data.draw(st.sampled_from([(2, 1), (3, 1), (2, 2)]), label="field"))
+    n = data.draw(st.integers(1, 7), label="n")
+    cols = _field_columns(data, fld, n)
+    m = len(cols[0])
+    target = data.draw(st.sampled_from([None, (0,) * m, *cols]), label="target")
+    check = Matrix(fld, [list(row) for row in zip(*cols)], ncols=n)
+    packed, packed_target = [_pack(col) for col in cols], _pack(target or ())
+    shared_generic, shared_packed = ghw_module._Nodes(), ghw_module._Nodes()
+    for s in range(1, n + 1):
+        for need in range(s + 2):
+            for max_excess in (None, *range(s + 1)):
+                expected = first_excess_oracle(check, s, need, max_excess, target)
+                generic = ghw_module._Nodes()
+                for nodes in (generic, shared_generic):
+                    assert ghw_module._max_excess_for_size(
+                        cols, s, need, fld, None, max_excess=max_excess, target=target,
+                        nodes=nodes) == expected
+                if fld.q == 2:
+                    count = ghw_module._Nodes()
+                    for nodes in (count, shared_packed):
+                        assert ghw_module._max_excess_gf2(
+                            packed, s, need, None, max_excess=max_excess,
+                            target=packed_target, nodes=nodes) == expected
+                    assert count.visited == generic.visited
+    if fld.q == 2:
+        assert shared_packed.visited == shared_generic.visited
+
+
+@pytest.mark.parametrize("kernel", ["generic", "packed"])
+def test_kernels_raise_once_the_shared_count_passes_its_limit(kernel):
+    """A call that would take the shared count past `limit` raises
+    `_OverBudget`; one that stays within it answers as with no limit."""
+    code = random_code(2, 12, 5, seed=2)
+    cols, target = code.generator.columns()[1:], code.generator.columns()[0]
+
+    def ask(nodes):
+        if kernel == "generic":
+            return ghw_module._max_excess_for_size(cols, 4, 0, GF2, None, max_excess=0,
+                                                   target=target, nodes=nodes)
+        return ghw_module._max_excess_gf2([_pack(c) for c in cols], 4, 0, None, max_excess=0,
+                                          target=_pack(target), nodes=nodes)
+
+    free = ghw_module._Nodes()
+    answer = ask(free)
+    assert free.visited > 1
+    exact = ghw_module._Nodes(limit=free.visited)
+    assert ask(exact) == answer and exact.visited == free.visited
+    with pytest.raises(ghw_module._OverBudget):
+        ask(ghw_module._Nodes(limit=free.visited - 1))
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_hierarchy_matches_the_definition_on_both_sides(data):
@@ -337,6 +400,11 @@ def test_low_rate_certification_sweeps_the_generator():
     # A sweep of its H takes about 25 s; the sweep of its G, milliseconds.
     report = certify_optimal(random_code(2, 24, 2, seed=1), time_limit=5.0)
     assert report.primal_hierarchy == (15, 24)
+
+
+def test_low_rate_min_distance_sweeps_the_generator():
+    # ghw sweeps G here, as weight_hierarchy does; a sweep of H takes seconds.
+    assert random_code(2, 24, 2, seed=1).min_distance(time_limit=5.0) == 15
 
 
 def test_wall_time_guard_on_the_generator_side():

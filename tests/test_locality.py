@@ -1,4 +1,5 @@
 import re
+import sys
 from unittest import mock
 
 import pytest
@@ -88,6 +89,13 @@ class TestCoveringRows:
         for a in range(3):
             for b in range(a + 1, 3):
                 assert not supports[a] & supports[b]
+
+    def test_uncoverable_coordinate(self, gf2):
+        # coordinate 1 lies in no dual codeword, at any r: not "locality above r"
+        code = LinearCode(gf2, [[1, 0, 0], [0, 1, 1]])
+        message = "coordinate(s) [1] lie in no dual codeword support"
+        with pytest.raises(UncoverableCoordinateError, match=re.escape(message)):
+            covering_rows(code, 1)
 
     def test_r_below_locality(self, lrc_12_6_3):
         with pytest.raises(ValueError, match="locality above"):
@@ -212,6 +220,32 @@ def test_high_rate_codes_walk_the_small_dual(make):
     assert list(prof.covering_rows) == rows
     assert is_lrc(code, prof.r) and not is_lrc(code, prof.r - 1)
     assert coordinate_locality(code, code.n - 1) == localities[-1]
+
+
+@pytest.mark.parametrize("q, kernel, other", [
+    (2, "_max_excess_gf2", "_max_excess_for_size"),
+    (3, "_max_excess_for_size", "_max_excess_gf2"),
+])
+def test_locality_asks_the_kernel_of_its_field(monkeypatch, q, kernel, other):
+    """The cover search runs on the sweep's kernels: packed over GF(2),
+    generic over GF(3)."""
+    ghw_module = sys.modules["ghwkit.ghw"]
+    calls = {kernel: 0, other: 0}
+
+    def spy(name):
+        original = getattr(ghw_module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(ghw_module, name, spy(name))
+    code = random_code(q, 12, 6, seed=1)
+    expected, _ = dual_enum_locality(code)
+    assert list(locality(code).per_coordinate) == expected
+    assert calls[kernel] > 0 and calls[other] == 0
 
 
 def test_localities_witnessed_by_actual_dual_words(lrc_12_6_3):
