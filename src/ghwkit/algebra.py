@@ -310,9 +310,11 @@ class Field:
 
 def reduce_against(vec: list[int], basis: Sequence[tuple[int, Sequence[int]]],
                    field: Field) -> int:
-    """Reduce `vec` in place against `basis`, (pivot, vector) pairs sorted by
-    pivot with each vector 0 before and 1 at its pivot.  Returns the first
-    nonzero position left, or -1 when `vec` lies in the span."""
+    """Reduce `vec` in place against `basis`, (pivot, vector) pairs with each
+    vector 0 before and 1 at its pivot and 0 at the pivots of the pairs
+    before it (sorted by pivot, or each reduced against those before it).
+    Returns the first nonzero position left, or -1 when `vec` lies in the
+    span."""
     sub, mul = field.sub, field.mul
     for p, b in basis:
         c = vec[p]

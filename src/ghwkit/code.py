@@ -15,6 +15,8 @@ from typing import Sequence
 
 from .algebra import Field, Matrix
 
+DEFAULT_LIMIT_N = 24  # longest code the exhaustive searches take by default
+
 
 class CodeValidationError(ValueError):
     """The input does not define an acceptable linear code."""
@@ -87,7 +89,8 @@ class LinearCode:
             raise CodeValidationError("full-space code has a trivial dual (k = n)")
         return LinearCode(self.field, self.check, _allow_zero_columns=True)
 
-    def min_distance(self, limit_n: int = 24, time_limit: float | None = None) -> int:
+    def min_distance(self, limit_n: int = DEFAULT_LIMIT_N,
+                     time_limit: float | None = None) -> int:
         """Minimum Hamming weight over nonzero codewords.
 
         Computed through the subset-rank characterization (smallest support

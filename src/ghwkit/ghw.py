@@ -19,16 +19,18 @@ matrix of the dual code, and Wei duality (V. K. Wei, IEEE Trans. IT 37(5),
 search on H at each size d_i with need i.  `check_wei_duality` pins one
 sweep to each side, so it never compares a sweep with itself.
 
-Two kernels walk column subsets in lex order and answer one question: the
-first subset S of size s with need <= |S| - rank(S) <= max_excess and a
-target in span(S).  The sweep asks with no target and no cap.  The cover
-search of `ghwkit.locality` asks with need = max_excess = 0, target G_j and
-a node count shared across its calls, which tells it when to walk the dual
-code instead.  Over GF(2), `_max_excess_gf2` packs each column into an int
-and carries the later columns reduced against the chosen ones (the packing
-follows M4RI: Albrecht, Bard, Hart, "Algorithm 898", ACM TOMS 37(1), 2010).
-It visits the same nodes as `_max_excess_for_size`, which every other field
-takes and which reduces element lists against a pivot basis.
+One DFS body, `_subset_dfs`, walks column subsets in lex order for both
+searches.  It reduces each candidate column against a pivot basis of the
+chosen ones, over either of two column representations: over GF(2) each
+column is packed into an int and reduced by XOR (the packing follows M4RI:
+Albrecht, Bard, Hart, "Algorithm 898", ACM TOMS 37(1), 2010); every other
+field keeps element lists and reduces them with `reduce_against`.  Both
+visit the same nodes.  In sweep mode it returns the first subset of size s
+whose excess reaches need.  In covers mode, for the cover search of
+`ghwkit.locality`, it walks every independent subset of size s once and
+settles each open column with the first one whose span holds it; a node
+count shared across its calls tells that search when to walk the dual code
+instead.
 
 ``ghw_oracle`` recomputes d_i from the definition, enumerating every
 i-dimensional subcode once, and exists only to validate the sweep.
@@ -38,15 +40,13 @@ from __future__ import annotations
 
 import math
 import time
-from bisect import insort
 from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterator, Sequence
 
 from .algebra import Matrix, reduce_against
-from .code import LinearCode, SubcodeWitness
+from .code import DEFAULT_LIMIT_N, LinearCode, SubcodeWitness
 
-DEFAULT_LIMIT_N = 24
 DEFAULT_ORACLE_LIMIT = 10**6
 _ORACLE_SUBSPACE_CAP = 2 * 10**6
 _WALL_TIME = "wall-time guard exceeded during hierarchy sweep"
@@ -61,12 +61,12 @@ class LimitError(RuntimeError):
 
 
 class _OverBudget(Exception):
-    """A kernel call took its shared node count past the count's limit."""
+    """A DFS call took its shared node count past the count's limit."""
 
 
 @dataclass
 class _Nodes:
-    """Kernel nodes visited over the calls sharing it; raise past `limit`."""
+    """DFS nodes visited over the calls sharing it; raise past `limit`."""
 
     limit: float = math.inf
     visited: int = 0
@@ -81,135 +81,130 @@ def _alarm(ticks: int, limit: float, deadline: float | None) -> float:
     return min(limit, ticks + 1024)
 
 
-def _max_excess_for_size(cols, s, need, fld, deadline, max_excess=None, target=None,
-                         nodes=None):
-    """The first subset S of size s, in lex order, with
-    need <= |S| - rank(columns S) <= max_excess (None: no cap) and `target`
-    in the span of columns S (None: any S), as (excess, S); (need - 1, None)
-    when there is none.  Excess never falls along a DFS path, so at the cap
-    a dependent column is pruned.  Each DFS call counts one node on `nodes`.
+def _subset_dfs(cols, s, need, deadline, fld=None, nodes=None, uncovered=None):
+    """Walk the size-s column subsets S in lex order, reducing each candidate
+    column against a pivot basis of the chosen ones: packed ints over GF(2)
+    (`fld` None), element lists over `fld` otherwise.
+
+    Sweep mode (`uncovered` None): the first S with |S| - rank(S) >= need,
+    as (excess, S); (need - 1, None) when there is none.
+
+    Covers mode, with need 0: `uncovered` maps each open column i to the
+    column, and none of them lies in the span of fewer than s other columns.
+    The walk visits only independent S, so an open column in the span of an
+    (s-1)-prefix is one of the prefix.  At each prefix it keys every other
+    open column by its reduced form (scaled to 1 at its pivot), and a leaf j
+    with the same key settles it with S = prefix + j: the first lex S
+    without i whose span holds column i.  Settled columns leave `uncovered`,
+    and the walk stops once it is empty; returns {i: S}.
+
+    Each DFS call counts one node on `nodes`.
     """
     n, max_rank = len(cols), s - need  # need is reached exactly up to this rank
-    floor = 0 if max_excess is None else s - max_excess  # rank + remaining at the cap
+    packed, covers = fld is None, uncovered is not None
     nodes = nodes or _Nodes()
     ticks, limit = nodes.visited, nodes.limit
     alarm = _alarm(ticks, limit, deadline)
-    found, chosen = [], []
-    sub, mul, inv = fld.sub, fld.mul, fld.inv
-    basis: list[tuple[int, list[int]]] = []
+    found, chosen, settled = [], [], {}
+    basis: list = []  # (pivot, reduced column), each 0 at the pivots before it
+    if not packed:
+        mul, inv = fld.mul, fld.inv
 
-    def extend(start: int, remaining: int, rest: list[int] | None) -> bool:
-        # `rest` is the target reduced against `basis`: zero iff it is in the span.
+    def key(col):
+        # The key of `col` reduced against `basis`; None when it is in the span.
+        if packed:
+            for low, b in basis:
+                if col & low:
+                    col ^= b
+            return col or None
+        vec = list(col)
+        piv = reduce_against(vec, basis, fld)
+        if piv < 0:
+            return None
+        c = inv(vec[piv])
+        return tuple([mul(c, e) for e in vec])
+
+    def extend(start: int, remaining: int) -> bool:
         nonlocal ticks, alarm
         ticks += 1
         if ticks > alarm:
             alarm = _alarm(ticks, limit, deadline)
+        if covers and remaining == 1:
+            keys: dict = {}
+            for i, col in uncovered.items():
+                keys.setdefault(key(col), []).append(i)
+            keys.pop(None, None)  # the open columns of the prefix
+            for j in range(start, n):
+                k = key(cols[j])
+                for i in keys.pop(k, ()):
+                    if i == j:  # a cover of i leaves i out
+                        keys[k] = [j]
+                    else:
+                        settled[i] = (*chosen, j)
+                        del uncovered[i]
+            return not uncovered
         rank = len(basis)
         for j in range(start, n - remaining + 1):
-            vec = list(cols[j])
-            piv = reduce_against(vec, basis, fld)
-            if piv < 0:
-                if rank + remaining == floor:
+            if packed:
+                v = cols[j]
+                for low, b in basis:
+                    if v & low:
+                        v ^= b
+            else:
+                v = list(cols[j])
+                piv = reduce_against(v, basis, fld)
+                if piv < 0:
+                    v = 0  # in the span, as a packed column is
+            if not v:
+                if covers:
                     continue
             elif rank == max_rank:
                 continue
             if remaining == 1:
-                if rest is not None:  # is rest a multiple of vec (zero when vec is)?
-                    c = mul(rest[piv], inv(vec[piv])) if piv >= 0 else 0
-                    if any(a != mul(c, b) for a, b in zip(rest, vec)):
-                        continue
-                chosen.append(j)
-                found.append(s - rank - (piv >= 0))
-                return True
-            chosen.append(j)
-            if piv >= 0:
-                sc = inv(vec[piv])
-                if sc != 1:
-                    vec = [mul(sc, e) for e in vec]
-                c = rest[piv] if rest else 0
-                entry = (piv, vec)
-                insort(basis, entry)
-                if extend(j + 1, remaining - 1,
-                          [sub(a, mul(c, b)) for a, b in zip(rest, vec)] if c else rest):
-                    return True
-                basis.remove(entry)
-            elif extend(j + 1, remaining - 1, rest):
-                return True
-            chosen.pop()
-        return False
-
-    hit = max_rank >= floor and extend(0, s, None if target is None else list(target))
-    nodes.visited = ticks
-    return (found[0], tuple(chosen)) if hit else (need - 1, None)
-
-
-def _max_excess_gf2(cols: list[int], s, need, deadline, max_excess=None, target=0,
-                    nodes=None):
-    """`_max_excess_for_size` over GF(2), on columns and a target packed into
-    ints (target 0: none): the same nodes, order, pruning, count and return.
-    XORing a chosen reduced column v into each later column with v's lowest
-    set bit keeps them zero at the chosen pivots, so one is zero exactly when
-    it lies in the span.  A nonzero target trails the columns, reduced alike.
-    """
-    n, max_rank = len(cols), s - need
-    floor = 0 if max_excess is None else s - max_excess
-    nodes = nodes or _Nodes()
-    ticks, limit = nodes.visited, nodes.limit
-    alarm = _alarm(ticks, limit, deadline)
-    found, chosen = [], []
-
-    def extend(red: list[int], start: int, rank: int, remaining: int) -> bool:
-        # red[j - start] is column j reduced against the chosen columns.
-        nonlocal ticks, alarm
-        ticks += 1
-        if ticks > alarm:
-            alarm = _alarm(ticks, limit, deadline)
-        for j in range(start, n - remaining + 1):
-            v = red[j - start]
-            if v:
-                if rank == max_rank:
-                    continue
-            elif rank + remaining == floor:
-                continue
-            if remaining == 1:
-                if target and red[-1] and red[-1] != v:  # the target stays out of the span
-                    continue
                 chosen.append(j)
                 found.append(s - rank - (v != 0))
                 return True
             chosen.append(j)
-            if v:
-                low = v & -v
-                if extend([r ^ v if r & low else r for r in red[j + 1 - start:]],
-                          j + 1, rank + 1, remaining - 1):
+            if not v:
+                if extend(j + 1, remaining - 1):
                     return True
-            elif extend(red[j + 1 - start:], j + 1, rank, remaining - 1):
-                return True
+            else:
+                if packed:
+                    piv = v & -v  # the pivot bit
+                else:
+                    c = inv(v[piv])
+                    if c != 1:
+                        v = [mul(c, e) for e in v]
+                basis.append((piv, v))
+                if extend(j + 1, remaining - 1):
+                    return True
+                basis.pop()
             chosen.pop()
         return False
 
-    hit = max_rank >= floor and extend([*cols, target] if target else cols, 0, 0, s)
+    hit = max_rank >= 0 and extend(0, s)
     nodes.visited = ticks
+    if covers:
+        return settled
     return (found[0], tuple(chosen)) if hit else (need - 1, None)
 
 
-def _kernel(cols, fld):
-    """The columns as the kernel for `fld` takes them (packed ints over GF(2)),
-    and that kernel as (cols, s, need, deadline, **contract)."""
+def _columns(cols, fld):
+    """The columns as `_subset_dfs` takes them, and its `fld`: packed into
+    ints with no field over GF(2), element lists with `fld` otherwise."""
     if fld.q == 2:
-        return [sum(bit << i for i, bit in enumerate(col)) for col in cols], _max_excess_gf2
-    return cols, lambda c, s, need, deadline, **contract: _max_excess_for_size(
-        c, s, need, fld, deadline, **contract)
+        return [sum(bit << i for i, bit in enumerate(col)) for col in cols], None
+    return cols, fld
 
 
 def _size_search(check: Matrix, side: str = "check"):
-    """(s, need, deadline) -> the kernel's answer on the columns of `check`.
+    """(s, need, deadline) -> the sweep's answer on the columns of `check`.
     A guard error names the side of the duality and the size it stopped at."""
-    cols, kernel = _kernel(check.columns(), check.field)
+    cols, fld = _columns(check.columns(), check.field)
 
     def search(s, need, deadline):
         try:
-            return kernel(cols, s, need, deadline)
+            return _subset_dfs(cols, s, need, deadline, fld)
         except LimitError as exc:
             raise LimitError(f"{exc} ({side} side, size {s} of {check.ncols})") from None
 

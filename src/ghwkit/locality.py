@@ -3,18 +3,18 @@
 The locality of coordinate j is min{wt(h) - 1 : h in the dual, h_j != 0}:
 the size of the smallest set T of generator columns, j not in T, with G_j in
 span(G_T).  The search has no subset walk of its own.  For sizes 1, 2, ...
-it asks the kernel of `ghwkit.ghw` for the field (packed ints over GF(2))
-for the first T among the other columns, in lex order, with excess
-need = max_excess = 0 and target G_j; T + {j} is then the lexicographically
-first minimal support.  The cap prunes dependent columns: at the minimal
-size a dependent T would contain a smaller cover.  A zero column G_j gives
-locality 0.  A coordinate whose check-matrix column is zero (e_j is a
-codeword) lies in no dual codeword support and raises.
+it makes one covers-mode pass of the DFS in `ghwkit.ghw` (packed ints over
+GF(2)) over the independent column sets of that size, in lex order.  Each
+pass settles every still-open coordinate j with the first T whose span holds
+G_j, so T + {j} is the lexicographically first minimal support; a minimal T
+is independent, as a dependent one would contain a smaller cover.  A zero
+column G_j gives locality 0.  A coordinate whose check-matrix column is zero
+(e_j is a codeword) lies in no dual codeword support and raises.
 
-The kernels visit about C(n-1, s) sets for a cover of size s, so the search
-is slow on high-rate codes, whose covers are large and whose duals small.
-Once the kernels have cost as much as walking all q^(n-k) dual codewords
-would, the search walks them instead; both routes give the same supports.
+A pass visits about C(n, s) sets for covers of size s, so the search is
+slow on high-rate codes, whose covers are large and whose duals small.  Once
+the passes have cost as much as walking all q^(n-k) dual codewords would,
+the search walks them instead; both routes give the same supports.
 """
 
 from __future__ import annotations
@@ -22,16 +22,15 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable
 
 from .code import CodeValidationError, LinearCode
-from .ghw import LimitError, _kernel, _Nodes, _OverBudget
+from .ghw import LimitError, _columns, _Nodes, _OverBudget, _subset_dfs
 
 
-# One kernel node costs about as much as walking four dual codewords: 5-23 us
-# against 3-7 us in pure Python, measured on the generic (element-list) route
-# on the benchmark's code pools.  The packed GF(2) route is cheaper per node;
-# changing the value would change which codes walk.
+# One cover-pass node costs about as much as walking 2-10 dual codewords: in
+# pure Python (3.11, 2 vCPU) a node took 11 us on packed GF(2) columns and
+# 28-45 us on element lists over GF(3..16), and a walked word 4-9 us, on codes
+# like the benchmark's.  Changing the value would change which codes walk.
 _WORDS_PER_NODE = 4
 _WALL_TIME = "wall-time guard exceeded during locality search"
 
@@ -87,7 +86,7 @@ def _dual_supports(code: LinearCode, cap: int,
     best: list[tuple[int, ...] | None] = [None] * code.n
     for low in halves[0]:
         if deadline is not None and time.monotonic() > deadline:
-            raise LimitError(_WALL_TIME)
+            raise LimitError(f"{_WALL_TIME} (dual-word walk)")
         for high in halves[1]:
             supp = tuple(j for j, e in enumerate(map(add, low, high)) if e)
             if not supp or len(supp) > cap + 1:
@@ -100,43 +99,36 @@ def _dual_supports(code: LinearCode, cap: int,
 
 
 def _cover_search(code: LinearCode, cap: int,
-                  deadline: float | None = None) -> Callable[[int], tuple[int, ...] | None]:
-    """j -> the lexicographically first smallest support of a dual codeword
-    covering j, with at most cap + 1 coordinates; None when there is none.
+                  deadline: float | None = None) -> list[tuple[int, ...] | None]:
+    """For each coordinate j, the lexicographically first smallest support of
+    a dual codeword covering j, with at most cap + 1 coordinates; None when
+    there is none.
 
-    Once the kernels have visited q^(n-k) / _WORDS_PER_NODE nodes over all
-    calls, they have cost about as much as walking every dual codeword, and
-    the search switches to `_dual_supports` for good.
+    One covers-mode DFS pass per size settles every coordinate whose
+    smallest cover has that size.  Once the passes have visited
+    q^(n-k) / _WORDS_PER_NODE nodes, they have cost about as much as walking
+    every dual codeword, and `_dual_supports` answers every coordinate.
     """
-    cols = code.generator.columns()
-    vecs, kernel = _kernel(cols, code.field)
+    n, columns = code.n, code.generator.columns()
+    cols, fld = _columns(columns, code.field)
     uncoverable = set(_uncoverable(code))
-    words, per_node = code.field.q ** (code.n - code.k), _WORDS_PER_NODE
+    supports = [None if any(col) else (j,) for j, col in enumerate(columns)]
+    uncovered = {j: cols[j] for j, s in enumerate(supports) if s is None and j not in uncoverable}
+    words, per_node = code.field.q ** (n - code.k), _WORDS_PER_NODE
     nodes = _Nodes(words // per_node if per_node else math.inf)
-    walked: list[tuple[int, ...] | None] | None = None
-
-    def cover(j: int) -> tuple[int, ...] | None:
-        nonlocal walked
-        if walked is None:
-            if j in uncoverable:
-                return None
-            if not any(cols[j]):
-                return (j,)
-            others = vecs[:j] + vecs[j + 1:]
-            try:
-                for size in range(1, cap + 1):
-                    _, found = kernel(others, size, 0, deadline, max_excess=0,
-                                      target=vecs[j], nodes=nodes)
-                    if found is not None:
-                        return tuple(sorted((j, *(i + (i >= j) for i in found))))
-                return None
-            except _OverBudget:
-                walked = _dual_supports(code, cap, deadline)
-            except LimitError:
-                raise LimitError(_WALL_TIME) from None
-        return walked[j]
-
-    return cover
+    size = 0
+    try:
+        while uncovered and size < cap:
+            size += 1
+            for j, cover in _subset_dfs(cols, size, 0, deadline, fld, nodes, uncovered).items():
+                supports[j] = tuple(sorted((j, *cover)))
+    except _OverBudget:
+        return _dual_supports(code, cap, deadline)
+    except LimitError:
+        settled = n - supports.count(None)
+        raise LimitError(f"{_WALL_TIME} (cover pass, size {size} of {cap}, "
+                         f"{settled} of {n} coordinates settled)") from None
+    return supports
 
 
 def _cover_word(code: LinearCode, subset: tuple[int, ...], j: int) -> tuple[int, ...]:
@@ -148,14 +140,14 @@ def _cover_word(code: LinearCode, subset: tuple[int, ...], j: int) -> tuple[int,
     return tuple(fld.mul(scale, e) for e in row)
 
 
-def _greedy_rows(code: LinearCode, cover: Callable[[int], tuple[int, ...] | None],
+def _greedy_rows(code: LinearCode, supports: list[tuple[int, ...] | None],
                  r: int) -> list[tuple[int, ...]]:
     """One covering word for each smallest still-uncovered coordinate."""
     uncovered = set(range(code.n))
     rows: list[tuple[int, ...]] = []
     while uncovered:
         j = min(uncovered)
-        subset = cover(j)
+        subset = supports[j]
         if subset is None:
             raise ValueError(f"coordinate {j + 1} has locality above {r}")
         rows.append(_cover_word(code, subset, j))
@@ -168,7 +160,7 @@ def coordinate_locality(code: LinearCode, j: int) -> int:
     _guard(code)
     if not 0 <= j < code.n:
         raise IndexError(f"coordinate {j} out of range")
-    subset = _cover_search(code, code.k)(j)
+    subset = _cover_search(code, code.k)[j]
     if subset is None:
         raise UncoverableCoordinateError(
             f"coordinate {j + 1} lies in no dual codeword support")
@@ -180,12 +172,11 @@ def locality(code: LinearCode, *, _deadline: float | None = None) -> LocalityPro
     The search raises `LimitError` once `time.monotonic()` passes `_deadline`."""
     _guard(code, covered=True)
     # Every coordinate has a cover of size at most k: the other columns span.
-    cover = _cover_search(code, code.k, _deadline)
-    supports = [cover(j) for j in range(code.n)]
+    supports = _cover_search(code, code.k, _deadline)
     per_coordinate = tuple(len(s) - 1 for s in supports)
     r = max(per_coordinate)
     return LocalityProfile(per_coordinate=per_coordinate, r=r,
-                           covering_rows=tuple(_greedy_rows(code, supports.__getitem__, r)))
+                           covering_rows=tuple(_greedy_rows(code, supports, r)))
 
 
 def covering_rows(code: LinearCode, r: int) -> list[tuple[int, ...]]:
@@ -205,5 +196,4 @@ def is_lrc(code: LinearCode, r: int) -> bool:
     """True iff every coordinate has locality <= r."""
     if code.k >= code.n or r < 1:
         return False
-    cover = _cover_search(code, r)
-    return all(cover(j) is not None for j in range(code.n))
+    return None not in _cover_search(code, r)

@@ -35,23 +35,27 @@ def is_zero(m: Matrix) -> bool:
     return not any(any(row) for row in m.rows)
 
 
-def first_excess_oracle(matrix: Matrix, s: int, need: int, max_excess: int | None = None,
-                        target=None):
+def first_excess_oracle(matrix: Matrix, s: int, need: int):
     """The first size-s column subset S, in lex order, with
-    need <= |S| - rank(columns S) <= max_excess (no cap when None) and
-    `target` in the span of columns S (any S when None), as (excess, S);
-    (need - 1, None) if none."""
+    |S| - rank(columns S) >= need, as (excess, S); (need - 1, None) if none."""
     for subset in combinations(range(matrix.ncols), s):
         rows = [[row[c] for c in subset] for row in matrix.rows]
-        rank = Matrix(matrix.field, rows, ncols=s).rank()
-        excess = s - rank
-        if excess < need or (max_excess is not None and excess > max_excess):
-            continue
-        if target is not None and rank != Matrix(
-                matrix.field, [[*row, t] for row, t in zip(rows, target)], ncols=s + 1).rank():
-            continue
-        return excess, subset
+        excess = s - Matrix(matrix.field, rows, ncols=s).rank()
+        if excess >= need:
+            return excess, subset
     return need - 1, None
+
+
+def first_cover_oracle(matrix: Matrix, s: int, j: int):
+    """The first size-s independent column subset S, in lex order, without
+    column j and with column j in its span; None if there is none."""
+    for subset in combinations([c for c in range(matrix.ncols) if c != j], s):
+        rows = [[row[c] for c in subset] for row in matrix.rows]
+        with_j = [[*r, row[j]] for r, row in zip(rows, matrix.rows)]
+        if (Matrix(matrix.field, rows, ncols=s).rank() == s
+                == Matrix(matrix.field, with_j, ncols=s + 1).rank()):
+            return subset
+    return None
 
 
 def codewords(code: LinearCode, limit: int = 10**6):

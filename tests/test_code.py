@@ -1,3 +1,6 @@
+import inspect
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,6 +10,9 @@ from ghwkit.constructions import SplitMix64, random_code, reed_solomon
 from ghwkit.ghw import weight_hierarchy
 
 from oracles import codewords, identity, is_zero, mat_mul, transpose
+
+# The package re-exports the function `ghw`, which hides the module.
+ghw_module = sys.modules["ghwkit.ghw"]
 
 
 def brute_force_distance(code):
@@ -89,6 +95,11 @@ class TestMinDistance:
 
     def test_matches_first_hierarchy_value(self, pair_code):
         assert pair_code.min_distance() == weight_hierarchy(pair_code).values[0]
+
+    def test_default_length_limit_is_the_searches_one(self):
+        default = inspect.signature(LinearCode.min_distance).parameters["limit_n"].default
+        assert default == ghw_module.DEFAULT_LIMIT_N
+        assert inspect.signature(weight_hierarchy).parameters["limit_n"].default == default
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())

@@ -1,5 +1,6 @@
 import sys
 import time
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -18,7 +19,7 @@ from ghwkit.ghw import (
     weight_hierarchy,
 )
 
-from oracles import contains, first_excess_oracle, gk_dual, identity
+from oracles import contains, first_cover_oracle, first_excess_oracle, gk_dual, identity
 
 # The package re-exports the function `ghw`, which hides the module.
 ghw_module = sys.modules["ghwkit.ghw"]
@@ -212,16 +213,15 @@ def _binary_columns(data, n: int) -> list[tuple[int, ...]]:
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_packed_kernel_matches_generic_search(data):
-    """The GF(2) route returns the generic search's maximum and first argmax
-    at every size and every threshold."""
+    """The GF(2) route, on packed columns, returns the answer of the DFS on
+    element lists at every size and every threshold."""
     n = data.draw(st.integers(1, 14), label="n")
     cols = _binary_columns(data, n)
     check = Matrix(GF2, [list(row) for row in zip(*cols)], ncols=n)
     search = ghw_module._size_search(check)
     for s in range(1, n + 1):
         for need in range(1, s + 2):
-            assert search(s, need, None) == ghw_module._max_excess_for_size(
-                cols, s, need, GF2, None)
+            assert search(s, need, None) == ghw_module._subset_dfs(cols, s, need, None, GF2)
 
 
 @settings(max_examples=40, deadline=None)
@@ -243,7 +243,7 @@ def test_binary_ghw_witnesses_match_generic_search(data):
     for i in range(1, code.k + 1):
         d_i, witness = ghw(code, i)
         for s in range(i, n + 1):
-            best, subset = ghw_module._max_excess_for_size(cols, s, i, GF2, None)
+            best, subset = ghw_module._subset_dfs(cols, s, i, None, GF2)
             if best >= i:
                 break
         assert (d_i, witness.support) == (s, subset)
@@ -261,81 +261,96 @@ def _field_columns(data, fld: Field, n: int) -> list[tuple[int, ...]]:
                      label="columns")
 
 
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_kernels_return_the_first_subset_reaching_need(data):
-    """Both kernels stop at the first lex subset whose excess reaches need,
-    at every size and every threshold, over GF(2), GF(3) and GF(4)."""
-    fld = Field(*data.draw(st.sampled_from([(2, 1), (3, 1), (2, 2)]), label="field"))
-    n = data.draw(st.integers(1, 9), label="n")
-    cols = _field_columns(data, fld, n)
-    check = Matrix(fld, [list(row) for row in zip(*cols)], ncols=n)
-    packed = [sum(bit << i for i, bit in enumerate(col)) for col in cols]
-    for s in range(1, n + 1):
-        for need in range(1, s + 2):
-            expected = first_excess_oracle(check, s, need)
-            assert ghw_module._max_excess_for_size(cols, s, need, fld, None) == expected
-            if fld.q == 2:
-                assert ghw_module._max_excess_gf2(packed, s, need, None) == expected
-
-
 def _pack(col) -> int:
     return sum(bit << i for i, bit in enumerate(col))
 
 
+def _representations(cols, fld):
+    """(columns, fld) for each column representation `_subset_dfs` takes:
+    element lists, and packed ints over GF(2)."""
+    reps = [(cols, fld)]
+    if fld.q == 2:
+        reps.append(([_pack(col) for col in cols], None))
+    return reps
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_kernels_return_the_first_subset_reaching_need(data):
+    """In sweep mode, the DFS stops at the first lex subset whose excess
+    reaches need, at every size and every threshold, over GF(2), GF(3) and
+    GF(4), on both column representations.  On binary input both count the
+    same nodes, per call and on one count shared by every call."""
+    fld = Field(*data.draw(st.sampled_from([(2, 1), (3, 1), (2, 2)]), label="field"))
+    n = data.draw(st.integers(1, 9), label="n")
+    cols = _field_columns(data, fld, n)
+    check = Matrix(fld, [list(row) for row in zip(*cols)], ncols=n)
+    reps = _representations(cols, fld)
+    shared = [ghw_module._Nodes() for _ in reps]
+    for s in range(1, n + 1):
+        for need in range(s + 2):
+            expected = first_excess_oracle(check, s, need)
+            counts = []
+            for (columns, kind), total in zip(reps, shared):
+                for nodes in (ghw_module._Nodes(), total):
+                    assert ghw_module._subset_dfs(columns, s, need, None, kind,
+                                                  nodes) == expected
+                counts.append(nodes.visited)
+            assert len(set(counts)) == 1
+    assert len({total.visited for total in shared}) == 1
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
-def test_kernels_meet_the_contract_with_a_cap_and_a_target(data):
-    """Both kernels return the first lex subset with need <= excess <=
-    max_excess and the target in its span, at every size, need and cap, over
-    GF(2), GF(3) and GF(4), for a target drawn from the column palette (zero
-    included) or none.  On binary input the packed and generic kernels count
-    the same nodes, one shared count over all calls included."""
+def test_covers_mode_settles_each_open_column_with_its_first_cover(data):
+    """In covers mode, the DFS settles each open column j with the first lex
+    independent S without j whose span holds column j, and leaves open those
+    with none: at every size s and for every open set of columns with no
+    cover smaller than s, over GF(2), GF(3) and GF(4), on both column
+    representations.  On binary input both count the same nodes, per call
+    and on one count shared by every call."""
     fld = Field(*data.draw(st.sampled_from([(2, 1), (3, 1), (2, 2)]), label="field"))
     n = data.draw(st.integers(1, 7), label="n")
     cols = _field_columns(data, fld, n)
-    m = len(cols[0])
-    target = data.draw(st.sampled_from([None, (0,) * m, *cols]), label="target")
     check = Matrix(fld, [list(row) for row in zip(*cols)], ncols=n)
-    packed, packed_target = [_pack(col) for col in cols], _pack(target or ())
-    shared_generic, shared_packed = ghw_module._Nodes(), ghw_module._Nodes()
+    first = {(s, j): first_cover_oracle(check, s, j) for s in range(n + 1) for j in range(n)}
+    reps = _representations(cols, fld)
+    shared = [ghw_module._Nodes() for _ in reps]
     for s in range(1, n + 1):
-        for need in range(s + 2):
-            for max_excess in (None, *range(s + 1)):
-                expected = first_excess_oracle(check, s, need, max_excess, target)
-                generic = ghw_module._Nodes()
-                for nodes in (generic, shared_generic):
-                    assert ghw_module._max_excess_for_size(
-                        cols, s, need, fld, None, max_excess=max_excess, target=target,
-                        nodes=nodes) == expected
-                if fld.q == 2:
-                    count = ghw_module._Nodes()
-                    for nodes in (count, shared_packed):
-                        assert ghw_module._max_excess_gf2(
-                            packed, s, need, None, max_excess=max_excess,
-                            target=packed_target, nodes=nodes) == expected
-                    assert count.visited == generic.visited
-    if fld.q == 2:
-        assert shared_packed.visited == shared_generic.visited
+        eligible = [j for j in range(n) if all(first[t, j] is None for t in range(s))]
+        for size in range(1, len(eligible) + 1):
+            for open_set in combinations(eligible, size):
+                expected = {j: first[s, j] for j in open_set if first[s, j] is not None}
+                counts = []
+                for (columns, kind), total in zip(reps, shared):
+                    for nodes in (ghw_module._Nodes(), total):
+                        uncovered = {j: columns[j] for j in open_set}
+                        assert ghw_module._subset_dfs(columns, s, 0, None, kind, nodes,
+                                                      uncovered) == expected
+                        assert set(uncovered) == set(open_set) - set(expected)
+                    counts.append(nodes.visited)
+                assert len(set(counts)) == 1
+    assert len({total.visited for total in shared}) == 1
 
 
 @pytest.mark.parametrize("kernel", ["generic", "packed"])
 def test_kernels_raise_once_the_shared_count_passes_its_limit(kernel):
-    """A call that would take the shared count past `limit` raises
-    `_OverBudget`; one that stays within it answers as with no limit."""
+    """Cover passes at sizes 1..k that would take their shared count past
+    `limit` raise `_OverBudget`; passes that stay within it answer as with no
+    limit."""
     code = random_code(2, 12, 5, seed=2)
-    cols, target = code.generator.columns()[1:], code.generator.columns()[0]
+    cols = code.generator.columns()
+    columns, fld = (cols, GF2) if kernel == "generic" else ([_pack(c) for c in cols], None)
 
     def ask(nodes):
-        if kernel == "generic":
-            return ghw_module._max_excess_for_size(cols, 4, 0, GF2, None, max_excess=0,
-                                                   target=target, nodes=nodes)
-        return ghw_module._max_excess_gf2([_pack(c) for c in cols], 4, 0, None, max_excess=0,
-                                          target=_pack(target), nodes=nodes)
+        uncovered, settled = dict(enumerate(columns)), {}
+        for s in range(1, code.k + 1):
+            settled.update(ghw_module._subset_dfs(columns, s, 0, None, fld, nodes, uncovered))
+        return settled
 
     free = ghw_module._Nodes()
     answer = ask(free)
-    assert free.visited > 1
+    assert free.visited > 1 and len(answer) == code.n
     exact = ghw_module._Nodes(limit=free.visited)
     assert ask(exact) == answer and exact.visited == free.visited
     with pytest.raises(ghw_module._OverBudget):

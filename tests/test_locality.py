@@ -1,5 +1,6 @@
 import re
 import sys
+import time
 from unittest import mock
 
 import pytest
@@ -8,17 +9,21 @@ from hypothesis import given, settings, strategies as st
 from ghwkit.algebra import Matrix
 from ghwkit.code import CodeValidationError, LinearCode, hamming_weight, support
 from ghwkit.constructions import field_for_order, random_code, reed_solomon
+from ghwkit.ghw import LimitError, _subset_dfs
 from ghwkit.locality import (
     UncoverableCoordinateError,
     _WORDS_PER_NODE,
     _cover_search,
     _cover_word,
+    _dual_supports,
     coordinate_locality,
     covering_rows,
     is_lrc,
     locality,
 )
 from oracles import dual_enum_locality, identity, mat_mul, transpose
+
+locality_module = sys.modules["ghwkit.locality"]
 
 
 class TestCoordinateLocality:
@@ -222,30 +227,88 @@ def test_high_rate_codes_walk_the_small_dual(make):
     assert coordinate_locality(code, code.n - 1) == localities[-1]
 
 
-@pytest.mark.parametrize("q, kernel, other", [
-    (2, "_max_excess_gf2", "_max_excess_for_size"),
-    (3, "_max_excess_for_size", "_max_excess_gf2"),
-])
-def test_locality_asks_the_kernel_of_its_field(monkeypatch, q, kernel, other):
-    """The cover search runs on the sweep's kernels: packed over GF(2),
-    generic over GF(3)."""
-    ghw_module = sys.modules["ghwkit.ghw"]
-    calls = {kernel: 0, other: 0}
+@pytest.mark.parametrize("q, packed", [(2, True), (3, False)], ids=["gf2", "gf3"])
+def test_locality_walks_the_representation_of_its_field(monkeypatch, q, packed):
+    """The cover search runs on the sweep's DFS: on packed int columns over
+    GF(2), on element lists over GF(3)."""
+    routes = []
 
-    def spy(name):
-        original = getattr(ghw_module, name)
+    def spy(cols, s, need, deadline, fld=None, *args):
+        routes.append((fld is None, all(isinstance(col, int) for col in cols)))
+        return _subset_dfs(cols, s, need, deadline, fld, *args)
 
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-        return counted
-
-    for name in calls:
-        monkeypatch.setattr(ghw_module, name, spy(name))
+    monkeypatch.setattr(locality_module, "_subset_dfs", spy)
     code = random_code(q, 12, 6, seed=1)
     expected, _ = dual_enum_locality(code)
     assert list(locality(code).per_coordinate) == expected
-    assert calls[kernel] > 0 and calls[other] == 0
+    assert routes and set(routes) == {(packed, packed)}
+
+
+def _spy_walks(monkeypatch) -> list[int]:
+    """Record the cap of every `_dual_supports` call."""
+    caps: list[int] = []
+
+    def spy(code, cap, deadline):
+        caps.append(cap)
+        return _dual_supports(code, cap, deadline)
+
+    monkeypatch.setattr(locality_module, "_dual_supports", spy)
+    return caps
+
+
+@pytest.mark.parametrize("make, walks", [
+    (lambda: random_code(2, 18, 15, seed=1), True),
+    (lambda: LinearCode(field_for_order(2), [[1 if c in (i, 19) else 0 for c in range(20)]
+                                             for i in range(19)]), True),
+    (lambda: random_code(16, 11, 5, seed=1), False),
+], ids=["random-2-18-15-seed1", "single-parity-20", "random-16-11-5-seed1"])
+def test_the_walk_runs_where_the_passes_cost_more(monkeypatch, make, walks):
+    """The dual-word walk answers high-rate codes, whose duals are small, and
+    not a GF(16) [11,5] code, whose 16^6 dual words cost more than the
+    passes."""
+    code = make()
+    caps = _spy_walks(monkeypatch)
+    prof = locality(code)
+    assert caps == ([code.k] if walks else [])
+    if walks:
+        assert list(prof.per_coordinate) == dual_enum_locality(code)[0]
+
+
+def test_a_walk_after_some_passes_answers_every_coordinate(monkeypatch):
+    """When the node count runs out after the passes have settled some
+    coordinates, the list is the walk's list for every coordinate."""
+    code = random_code(2, 12, 6, seed=1)  # its passes take 33 nodes at sizes 1..3
+    settled = []
+
+    def spy(*args):
+        found = _subset_dfs(*args)
+        settled.extend(found)
+        return found
+
+    monkeypatch.setattr(locality_module, "_subset_dfs", spy)
+    caps = _spy_walks(monkeypatch)
+    # 2^6 dual words and two words per node: the count runs out at 32 nodes.
+    with mock.patch("ghwkit.locality._WORDS_PER_NODE", 2):
+        supports = _cover_search(code, code.k)
+    assert caps == [code.k] and 0 < len(settled) < code.n
+    walked = _dual_supports(code, code.k, None)
+    assert supports == walked
+    assert [len(s) - 1 for s in walked] == dual_enum_locality(code)[0]
+
+
+def test_time_limit_names_the_cover_pass_and_its_progress():
+    code = reed_solomon(32, 24, 12)  # 32^12 dual words: the passes never walk
+    with pytest.raises(LimitError, match=r"wall-time guard exceeded during locality search "
+                                         r"\(cover pass, size \d+ of 12, "
+                                         r"\d+ of 24 coordinates settled\)"):
+        locality(code, _deadline=time.monotonic() + 0.05)
+
+
+def test_time_limit_names_the_dual_word_walk():
+    code = random_code(2, 24, 8, seed=1)  # 2^16 dual words: 0.3 s or more to walk
+    with mock.patch("ghwkit.locality._WORDS_PER_NODE", 1 << 62):  # walk at once
+        with pytest.raises(LimitError, match=r"locality search \(dual-word walk\)$"):
+            locality(code, _deadline=time.monotonic() + 0.1)
 
 
 def test_localities_witnessed_by_actual_dual_words(lrc_12_6_3):
@@ -254,9 +317,9 @@ def test_localities_witnessed_by_actual_dual_words(lrc_12_6_3):
     code = lrc_12_6_3
     prof = locality(code)
     g_t = transpose(code.generator)
-    cover = _cover_search(code, prof.r)
+    supports = _cover_search(code, prof.r)
     for j, rj in enumerate(prof.per_coordinate):
-        subset = cover(j)
+        subset = supports[j]
         assert subset is not None and len(subset) == rj + 1
         word = _cover_word(code, subset, j)
         assert word[j] != 0
