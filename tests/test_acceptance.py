@@ -4,10 +4,14 @@ Each test prints a single PASS line (visible with ``pytest -s`` or on
 failure); the expensive suites run once per session and are shared.
 """
 
+import io
 import json
+import re
 import subprocess
 import sys
 import time
+from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -18,9 +22,11 @@ from ghwkit.bounds import (
     optimal_primal_hierarchy,
     singleton_like_bound,
 )
+from ghwkit import cli
 from ghwkit.cli import main, serialize_code
 from ghwkit.constructions import tamo_barg
 from ghwkit.suites import (
+    SUITES,
     run_duality,
     run_lemmas,
     run_optimal_rk,
@@ -31,6 +37,7 @@ from ghwkit.suites import (
 
 SEED = 2024
 COUNT = 200
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def report_line(cid: str, text: str) -> None:
@@ -176,3 +183,22 @@ def test_c9_determinism(tmp_path, capsys):
     assert files[0] == files[1]
     report_line("C9", "JSON comparable sections byte-identical; random "
                       "construction identical across two processes")
+
+
+def test_verify_all_matches_golden(suite_results, monkeypatch):
+    """`ghwkit verify all` prints golden/verify_all.txt with each elapsed time
+    masked as ?.?s.  The suites' results come from the shared fixture, so no
+    suite runs twice.  Regenerate the golden from a checkout of the commit it
+    should pin with
+
+        PYTHONPATH=src python -m ghwkit.cli verify all \\
+            | sed -E 's/, [0-9]+\\.[0-9]s\\)/, ?.?s)/' > tests/golden/verify_all.txt
+    """
+    by_name = {res.name: res for res in suite_results.values()}
+    monkeypatch.setattr(cli, "run_suite",
+                        lambda name, seed, count: [by_name[s] for s in SUITES])
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["verify", "all"]) == 0
+    masked = re.sub(r", \d+\.\ds\)", ", ?.?s)", out.getvalue())
+    assert masked == (GOLDEN / "verify_all.txt").read_text()
