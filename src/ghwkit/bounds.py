@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .code import LinearCode, SubcodeWitness
-from .ghw import DEFAULT_LIMIT_N, _deadline, _guard, weight_hierarchy
+from .ghw import DEFAULT_LIMIT_N, _deadline, _gaps, _guard, _wei_complement, weight_hierarchy
 from .locality import LocalityProfile, locality
 
 CLAIM_IDS = (
@@ -176,15 +176,13 @@ def optimal_primal_ghw_lower(n: int, k: int, r: int, i: int) -> int:
 # mu / rho
 
 
-def mu_rho(dual_hierarchy: Sequence[int], n: int, k: int,
-           d1: int | None = None) -> tuple[int, int]:
+def mu_rho(dual_hierarchy: Sequence[int], n: int, k: int) -> tuple[int, int]:
     """mu = min{v : dual d_v = k+v} and rho = max{x : dual d_x - x < k}.
 
     The indices where the dual hierarchy touches k+i form a suffix, so
-    mu = rho + 1 always; empty sets take the conventions mu = n-k+1 and
-    rho = 0.  When the code's minimum distance d1 is supplied, the exact
-    identities d1 = n-k-mu+2 = n-k-rho+1 are verified and any mismatch
-    raises.
+    mu = rho + 1 always, and a mismatch raises; empty sets take the
+    conventions mu = n-k+1 and rho = 0.  `distance_claims` checks the
+    identities d = n-k-mu+2 = n-k-rho+1 against a code.
     """
     dh = list(dual_hierarchy)
     if len(dh) != n - k:
@@ -196,11 +194,6 @@ def mu_rho(dual_hierarchy: Sequence[int], n: int, k: int,
     if mu != rho + 1:
         raise RuntimeError(f"mu={mu} != rho+1={rho + 1}; dual hierarchy {dh} "
                            "is not strictly increasing under the Singleton bound")
-    if d1 is not None:
-        if d1 != n - k - mu + 2:
-            raise RuntimeError(f"d={d1} != n-k-mu+2={n - k - mu + 2}")
-        if d1 != n - k - rho + 1:
-            raise RuntimeError(f"d={d1} != n-k-rho+1={n - k - rho + 1}")
     return mu, rho
 
 
@@ -364,6 +357,26 @@ def _status(ok: bool) -> str:
     return HOLDS if ok else VIOLATED
 
 
+def distance_claims(code: LinearCode, d: int, dual_hierarchy: Sequence[int],
+                    r: int | None = None) -> dict[str, tuple[str, None, dict]]:
+    """prop1, prop2, prop3_mu and prop4_rho of a code with minimum distance
+    d and dual hierarchy `dual_hierarchy`, as claim -> (status, None,
+    payload); prop1 and prop2 take their locality forms too when r < k.
+    Raises RuntimeError when the dual hierarchy has mu != rho + 1."""
+    n, k = code.n, code.k
+    mu, rho = mu_rho(dual_hierarchy, n, k)
+    claims: dict[str, tuple[str, None, dict]] = {}
+    for claim, bound, value in (("prop1", prop1_bound(code, dual_hierarchy, r=r), d),
+                                ("prop2", prop2_bound(code, dual_hierarchy, d, r=r), k)):
+        ok = value <= bound.value and (bound.lrc_value is None or value <= bound.lrc_value)
+        payload = {"bound": bound.value, "lrc_bound": bound.lrc_value,
+                   "range_empty": bound.range_empty}
+        claims[claim] = (_status(ok), None, payload)
+    claims["prop3_mu"] = (_status(d == n - k - mu + 2), None, {"mu": mu})
+    claims["prop4_rho"] = (_status(d == n - k - rho + 1), None, {"rho": rho})
+    return claims
+
+
 def _per_index(values: Sequence[int], bounds: Sequence[int],
                holds: Callable[[int, int, int], bool],
                row_key: str | None = None) -> tuple[str, int | None, dict]:
@@ -414,10 +427,9 @@ def certify_optimal(code: LinearCode, *, promised_r: int | None = None,
     primal = weight_hierarchy(code, with_witnesses=with_witnesses, limit_n=limit_n,
                               time_limit=remaining)
     timings = {"locality": (t1 - t0) * 1000, "hierarchy": (time.perf_counter() - t2) * 1000}
-    dual_gaps = tuple(sorted(n + 1 - d_i for d_i in primal.values))  # Wei duality
-    dual_values = tuple(sorted(set(range(1, n + 1)) - set(dual_gaps)))
+    dual_values = _wei_complement(n, primal.values)
+    dual_gaps = _gaps(n, dual_values)
     d = primal.values[0]
-    mu, rho = mu_rho(dual_values, n, k)
     eq1_value = singleton_like_bound(n, k, r)
     optimal = d == eq1_value
 
@@ -465,17 +477,8 @@ def certify_optimal(code: LinearCode, *, promised_r: int | None = None,
         claims["lem6"] = (NOT_APPLICABLE, None, {})
         claims["thm4"] = (NOT_APPLICABLE, None, {"per_i": None})
 
-    # prop1 / prop2: field-size-aware surrogate bounds on d and on k.
-    for claim, bound, value in (("prop1", prop1_bound(code, dual_values, r=r), d),
-                                ("prop2", prop2_bound(code, dual_values, d, r=r), k)):
-        ok = value <= bound.value and (bound.lrc_value is None or value <= bound.lrc_value)
-        payload = {"bound": bound.value, "lrc_bound": bound.lrc_value,
-                   "range_empty": bound.range_empty}
-        claims[claim] = (_status(ok), None, payload)
-
-    # prop3 / prop4: distance identities through mu and rho.
-    claims["prop3_mu"] = (_status(d == n - k - mu + 2), None, {"mu": mu})
-    claims["prop4_rho"] = (_status(d == n - k - rho + 1 and mu == rho + 1), None, {"rho": rho})
+    claims.update(distance_claims(code, d, dual_values, r))
+    mu, rho = claims["prop3_mu"][2]["mu"], claims["prop4_rho"][2]["rho"]
 
     return BoundReport(
         n=n, k=k, r=r, q=q, d=d,

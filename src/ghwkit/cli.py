@@ -84,23 +84,25 @@ def parse_code_file(text: str) -> LinearCode:
         if len(tokens) != 2:
             raise CodeFileError(f"line {lineno}: expected '{key} <int>'")
         try:
-            return int(tokens[1])
+            value = int(tokens[1])
         except ValueError:
             raise CodeFileError(f"line {lineno}: expected '{key} <int>'") from None
+        if value < 1:
+            raise CodeFileError(f"line {lineno}: n and k must be positive")
+        return value
 
     n = int_header(1, "n")
     k = int_header(2, "k")
-    if n < 1 or k < 1:
-        raise CodeFileError("n and k must be positive")
 
     try:
         field = field_for_order(q, modulus)
     except (ValueError, ZeroDivisionError) as exc:
-        raise CodeFileError(f"invalid field: {exc}") from None
+        raise CodeFileError(f"line {entries[0][0]}: invalid field: {exc}") from None
 
     body = entries[3:]
     if len(body) != k:
-        raise CodeFileError(f"expected {k} generator rows, found {len(body)}")
+        raise CodeFileError(f"line {entries[2][0]}: expected {k} generator rows, "
+                            f"found {len(body)}")
     rows = []
     for lineno, tokens in body:
         if len(tokens) != n:
@@ -120,8 +122,8 @@ def parse_code_file(text: str) -> LinearCode:
         rows.append(row)
     try:
         return LinearCode(field, rows)
-    except CodeValidationError as exc:
-        raise CodeFileError(str(exc)) from None
+    except CodeValidationError as exc:  # rank 0 or a zero column
+        raise CodeFileError(f"line {body[0][0]}: {exc}") from None
 
 
 def serialize_code(code: LinearCode, comments: Sequence[str] = ()) -> str:

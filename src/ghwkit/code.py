@@ -11,7 +11,6 @@ recorded in ``zero_coordinates``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .algebra import Field, Matrix
 
@@ -20,15 +19,6 @@ DEFAULT_LIMIT_N = 24  # longest code the exhaustive searches take by default
 
 class CodeValidationError(ValueError):
     """The input does not define an acceptable linear code."""
-
-
-def hamming_weight(vec: Sequence[int]) -> int:
-    return sum(1 for e in vec if e)
-
-
-def support(vec: Sequence[int]) -> tuple[int, ...]:
-    """Coordinates (0-based) where the vector is nonzero."""
-    return tuple(j for j, e in enumerate(vec) if e)
 
 
 @dataclass(frozen=True)

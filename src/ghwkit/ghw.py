@@ -42,7 +42,7 @@ import math
 import time
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .algebra import Matrix, reduce_against
 from .code import DEFAULT_LIMIT_N, LinearCode, SubcodeWitness
@@ -227,9 +227,14 @@ def _sweep_hierarchy(check: Matrix, dims: int, *, side: str, deadline: float | N
     return list(subsets), list(subsets.values())
 
 
+def _gaps(n: int, values) -> tuple[int, ...]:
+    """{1..n} minus `values`, sorted: the gap numbers of a hierarchy."""
+    return tuple(sorted(set(range(1, n + 1)) - set(values)))
+
+
 def _wei_complement(n: int, values: Sequence[int]) -> tuple[int, ...]:
     """The hierarchy of the dual of a length-n code with hierarchy `values`."""
-    return tuple(sorted(set(range(1, n + 1)) - {n + 1 - d for d in values}))
+    return _gaps(n, [n + 1 - d for d in values])
 
 
 def _witness_from_subset(code: LinearCode, subset: tuple[int, ...]) -> SubcodeWitness:
@@ -260,16 +265,8 @@ class WeightHierarchy:
         v = self.values
         if any(v[i] >= v[i + 1] for i in range(len(v) - 1)):
             raise ValueError(f"hierarchy not strictly increasing: {v}")
-        n = self.code.n
-        expected = tuple(sorted(set(range(1, n + 1)) - set(v)))
-        if self.gaps != expected:
+        if self.gaps != _gaps(self.code.n, v):
             raise ValueError("gap numbers are not the complement of the hierarchy")
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.values)
-
-    def __getitem__(self, i: int) -> int:
-        return self.values[i]
 
 
 def _hierarchy(code: LinearCode, dims: int, witnessed, deadline: float | None):
@@ -308,8 +305,8 @@ def weight_hierarchy(code: LinearCode, *, with_witnesses: bool = False,
                                  _deadline(time_limit))
     witnesses = ({i: _witness_from_subset(code, subset) for i, subset in subsets.items()}
                  if with_witnesses else None)
-    gaps = tuple(sorted(set(range(1, code.n + 1)) - set(values)))
-    return WeightHierarchy(code=code, values=tuple(values), gaps=gaps, witnesses=witnesses)
+    return WeightHierarchy(code=code, values=tuple(values), gaps=_gaps(code.n, values),
+                           witnesses=witnesses)
 
 
 def gap_numbers(code: LinearCode, *, limit_n: int = DEFAULT_LIMIT_N,
@@ -327,14 +324,9 @@ class DualityReport:
     """Outcome of the two hierarchy/dual-hierarchy identities."""
 
     holds: bool
-    complement_identity: bool
-    gap_identity: bool
     primal: tuple[int, ...]
     dual: tuple[int, ...]
     violations: tuple[str, ...] = ()
-
-    def __bool__(self) -> bool:
-        return self.holds
 
 
 def primal_hierarchy_values(code: LinearCode, *, limit_n: int = DEFAULT_LIMIT_N,
@@ -376,18 +368,14 @@ def check_wei_duality(code: LinearCode, *, limit_n: int = DEFAULT_LIMIT_N,
     if not complement_ok:
         violations.append(f"complement identity: {list(primal)} != {list(mirrored)}")
 
-    dual_gaps = tuple(sorted(set(range(1, n + 1)) - set(dual_values)))  # k values
+    dual_gaps = _gaps(n, dual_values)  # k values
     gap_ok = True
     for i in range(1, k + 1):
         expected = (n + 1) - dual_gaps[k - i]
         if primal[i - 1] != expected:
             gap_ok = False
             violations.append(f"gap identity at i={i}: d_i={primal[i - 1]} != {expected}")
-    return DualityReport(holds=complement_ok and gap_ok,
-                         complement_identity=complement_ok,
-                         gap_identity=gap_ok,
-                         primal=primal,
-                         dual=dual_values,
+    return DualityReport(holds=complement_ok and gap_ok, primal=primal, dual=dual_values,
                          violations=tuple(violations))
 
 

@@ -2,10 +2,11 @@
 
 Each suite draws seed-reproducible random codes (and the structured
 fixtures), runs the relevant checks, and returns a ``SuiteResult`` with
-per-claim counts.  Two checks run on every code in every suite:
-
-* the mu/rho identities d = n-k-mu+2 = n-k-rho+1 with mu = rho+1, and
-* soundness of the surrogate bounds (prop1 >= d, prop2 >= k).
+per-claim counts.  Every code in every suite gets the four distance
+claims of `distance_claims`: soundness of the surrogate bounds (prop1 >= d,
+prop2 >= k) and the mu/rho identities d = n-k-mu+2 = n-k-rho+1.  A suite
+that certifies a code reads every claim off its `certify_optimal` verdicts;
+the others evaluate the distance claims on their own sweeps.
 """
 
 from __future__ import annotations
@@ -14,13 +15,12 @@ import time
 from dataclasses import dataclass, field
 
 from .bounds import (
+    HOLDS,
+    ClaimVerdict,
+    _ceil_div,
     certify_optimal,
+    distance_claims,
     generalized_singleton_like_bound,
-    mu_rho,
-    optimal_dual_hierarchy,
-    optimal_primal_hierarchy,
-    prop1_bound,
-    prop2_bound,
     singleton_like_bound,
 )
 from .code import LinearCode
@@ -87,25 +87,26 @@ def _random_codes(seed: int, count: int, *, qs=(2, 3, 4), n_lo=3, n_hi=12,
         produced += 1
 
 
-def _universal_checks(label: str, code: LinearCode, d1: int,
-                      dual_values, r, result: SuiteResult) -> None:
-    """mu/rho identities and surrogate soundness; run on every code."""
-    n, k = code.n, code.k
+def _record(label: str, verdicts, result: SuiteResult, required=()) -> None:
+    """Tally the four distance claims, and record a failure for every
+    violated verdict and for each claim of `required` that does not hold."""
+    for claim in ("prop1", "prop2", "prop3_mu", "prop4_rho"):
+        result.tally(claim)
+    for v in verdicts:
+        if v.violated or (v.claim in required and v.status != HOLDS):
+            at = "" if v.witness_index is None else f" at index {v.witness_index}"
+            result.failures.append(f"{label}: {v.claim} {v.status}{at} {v.payload}")
+
+
+def _universal_checks(label: str, code: LinearCode, d: int, dual_values,
+                      result: SuiteResult) -> None:
+    """The distance claims of a code the suite holds no report for."""
     try:
-        mu_rho(dual_values, n, k, d1=d1)
-    except RuntimeError as exc:
+        claims = distance_claims(code, d, dual_values)
+    except RuntimeError as exc:  # mu != rho + 1
         result.failures.append(f"{label}: mu/rho identities: {exc}")
         return
-    result.tally("prop3_mu")
-    result.tally("prop4_rho")
-    p1 = prop1_bound(code, dual_values, r=r)
-    if d1 > p1.value or (p1.lrc_value is not None and d1 > p1.lrc_value):
-        result.failures.append(f"{label}: prop1 bound {p1} below d={d1}")
-    result.tally("prop1")
-    p2 = prop2_bound(code, dual_values, d1, r=r)
-    if k > p2.value or (p2.lrc_value is not None and k > p2.lrc_value):
-        result.failures.append(f"{label}: prop2 bound {p2} below k={k}")
-    result.tally("prop2")
+    _record(label, [ClaimVerdict(claim, *entry) for claim, entry in claims.items()], result)
 
 
 def _fixtures() -> list[tuple[str, LinearCode]]:
@@ -128,7 +129,7 @@ def run_duality(seed: int = DEFAULT_SEED, count: int = DEFAULT_COUNT) -> SuiteRe
         if not report.holds:
             result.failures.append(f"{label}: {'; '.join(report.violations)}")
             continue
-        _universal_checks(label, code, report.primal[0], report.dual, None, result)
+        _universal_checks(label, code, report.primal[0], report.dual, result)
     result.elapsed = time.monotonic() - t0
     return result
 
@@ -151,8 +152,7 @@ def run_oracle(seed: int = DEFAULT_SEED, count: int = DEFAULT_COUNT) -> SuiteRes
             if hier.values[i - 1] != oracle:
                 result.failures.append(
                     f"{label}: d_{i} sweep={hier.values[i - 1]} oracle={oracle}")
-        _universal_checks(label, code, hier.values[0],
-                          dual_hierarchy_values(code), None, result)
+        _universal_checks(label, code, hier.values[0], dual_hierarchy_values(code), result)
     result.elapsed = time.monotonic() - t0
     return result
 
@@ -197,18 +197,12 @@ def run_lemmas(seed: int = DEFAULT_SEED, count: int = DEFAULT_COUNT) -> SuiteRes
     result.notes.append(f"{kept} random codes passed the locality-r<k filter "
                         f"({attempts} drawn)")
 
-    unconditional = ("eq1", "thm1", "lem1", "lem2", "lem3", "lem4")
     for label, code, prof in pool:
         result.codes += 1
         report = certify_optimal(code, profile=prof)
-        for claim in unconditional:
+        for claim in ("eq1", "thm1", "lem1", "lem2", "lem3", "lem4"):
             result.tally(claim)
-            if report.verdict(claim).violated:
-                result.failures.append(f"{label}: {claim} violated at index "
-                                       f"{report.verdict(claim).witness_index}")
-        for v in report.verdicts:
-            if v.violated and v.claim not in unconditional:
-                result.failures.append(f"{label}: {v.claim} violated")
+        _record(label, report.verdicts, result)
         # certify_optimal sweeps one side and derives the other by Wei
         # duality; a sweep pinned to each side keeps both cross-checks here.
         primal_values = primal_hierarchy_values(code)
@@ -219,7 +213,6 @@ def run_lemmas(seed: int = DEFAULT_SEED, count: int = DEFAULT_COUNT) -> SuiteRes
         if report.dual_hierarchy != dual_values:
             result.failures.append(f"{label}: Wei-derived dual hierarchy "
                                    f"{report.dual_hierarchy} != dual sweep {dual_values}")
-        _universal_checks(label, code, report.d, dual_values, report.r, result)
     result.elapsed = time.monotonic() - t0
     return result
 
@@ -245,29 +238,14 @@ def run_optimal_rk(seed: int = DEFAULT_SEED, count: int = DEFAULT_COUNT) -> Suit
             continue
         if report.r != r:
             result.failures.append(f"{label}: computed locality {report.r} != {r}")
+        # thm2 pins the dual hierarchy and thm3 the primal one to their
+        # closed forms; thm3's is the generalized bound at every i.
         n, k = code.n, code.k
-        expected_dual = optimal_dual_hierarchy(n, k, r)
-        expected_primal = optimal_primal_hierarchy(n, k, r)
         result.tally("thm2", n - k)
         result.tally("thm3", k)
         result.tally("thm1_equality", k)
         result.tally("lem1", n - k)
-        if report.dual_hierarchy != expected_dual:
-            result.failures.append(f"{label}: dual hierarchy {report.dual_hierarchy} "
-                                   f"!= closed form {expected_dual}")
-        if report.primal_hierarchy != expected_primal:
-            result.failures.append(f"{label}: hierarchy {report.primal_hierarchy} "
-                                   f"!= closed form {expected_primal}")
-        for i in range(1, k + 1):
-            if report.primal_hierarchy[i - 1] != \
-                    generalized_singleton_like_bound(n, k, r, i):
-                result.failures.append(f"{label}: d_{i} does not attain the "
-                                       "generalized bound")
-        for v in report.verdicts:
-            if v.violated:
-                result.failures.append(f"{label}: {v.claim} violated")
-        _universal_checks(label, code, report.d, report.dual_hierarchy,
-                          report.r, result)
+        _record(label, report.verdicts, result, required=("thm2", "thm3"))
     result.elapsed = time.monotonic() - t0
     return result
 
@@ -296,17 +274,9 @@ def run_optimal_rnk(seed: int = DEFAULT_SEED, count: int = DEFAULT_COUNT) -> Sui
             result.failures.append(f"{label}: computed locality {report.r} != {r}")
         for claim in ("lem5", "lem6", "thm4"):
             result.tally(claim)
-            if report.verdict(claim).status != "holds":
-                result.failures.append(f"{label}: {claim} "
-                                       f"{report.verdict(claim).status}")
-        # Second branch of the dual lower bound is an equality.
-        t_ceil = -(-k // r)
-        for i in range(t_ceil, n - k + 1):
-            result.tally("lem5_second_branch_exact")
-            if report.dual_hierarchy[i - 1] != k + i:
-                result.failures.append(f"{label}: dual d_{i} != k+i")
-        _universal_checks(label, code, report.d, report.dual_hierarchy,
-                          report.r, result)
+        # lem5 checks its second branch, dual d_i = k+i, as an equality.
+        result.tally("lem5_second_branch_exact", n - k - _ceil_div(k, r) + 1)
+        _record(label, report.verdicts, result, required=("lem5", "lem6", "thm4"))
     result.elapsed = time.monotonic() - t0
     return result
 
@@ -321,21 +291,17 @@ def run_props(seed: int = DEFAULT_SEED, count: int = DEFAULT_COUNT) -> SuiteResu
     for label, code in pool:
         result.codes += 1
         # d from H and the dual hierarchy from G: two sweeps, not one.
-        d1 = primal_hierarchy_values(code)[0]
-        dual_values = dual_hierarchy_values(code)
-        _universal_checks(label, code, d1, dual_values, None, result)
+        _universal_checks(label, code, primal_hierarchy_values(code)[0],
+                          dual_hierarchy_values(code), result)
 
     code = tamo_barg(13, 12, 6, 3)
-    dual_values = dual_hierarchy_values(code)
     d1 = weight_hierarchy(code).values[0]
-    p1 = prop1_bound(code, dual_values, r=3)
-    p2 = prop2_bound(code, dual_values, d1, r=3)
-    result.tally("prop1_tight_on_fixture")
-    result.tally("prop2_tight_on_fixture")
-    if not (p1.value == d1 == 6 and p1.lrc_value == 6):
-        result.failures.append(f"(12,6,3): prop1 not tight: {p1} vs d={d1}")
-    if not (p2.value == code.k == 6 and p2.lrc_value == 6):
-        result.failures.append(f"(12,6,3): prop2 not tight: {p2} vs k={code.k}")
+    claims = distance_claims(code, d1, dual_hierarchy_values(code), r=3)
+    for claim, value in (("prop1", d1), ("prop2", code.k)):
+        result.tally(f"{claim}_tight_on_fixture")
+        payload = claims[claim][2]
+        if not payload["bound"] == payload["lrc_bound"] == value == 6:
+            result.failures.append(f"(12,6,3): {claim} not tight: {payload} vs {value}")
     result.elapsed = time.monotonic() - t0
     return result
 

@@ -3,10 +3,20 @@
 from __future__ import annotations
 
 from itertools import combinations, product
+from typing import Sequence
 
 from ghwkit.algebra import Field, Matrix
-from ghwkit.code import LinearCode, support
+from ghwkit.code import LinearCode
 from ghwkit.ghw import dual_hierarchy_values, primal_hierarchy_values
+
+
+def hamming_weight(vec: Sequence[int]) -> int:
+    return sum(1 for e in vec if e)
+
+
+def support(vec: Sequence[int]) -> tuple[int, ...]:
+    """Coordinates (0-based) where the vector is nonzero."""
+    return tuple(j for j, e in enumerate(vec) if e)
 
 
 def identity(field: Field, n: int) -> Matrix:

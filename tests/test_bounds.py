@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from ghwkit.bounds import (
     certify_optimal,
     d_opt_surrogate,
+    distance_claims,
     dual_ghw_saturation,
     dual_ghw_step_bound,
     dual_ghw_upper,
@@ -187,23 +188,40 @@ class TestOptimalLowerBounds:
 
 
 class TestMuRho:
-    def test_reference_fixture(self):
-        mu, rho = mu_rho(KNOWN_DUAL_12_6_3, 12, 6, d1=6)
-        assert (mu, rho) == (2, 1)
-        assert 12 - 6 - mu + 2 == 6
+    """mu_rho reads mu and rho off a dual hierarchy; `distance_claims` checks
+    d = n-k-mu+2 (prop3_mu) and d = n-k-rho+1 (prop4_rho) against a code."""
+
+    @staticmethod
+    def identities(code, d, dual):
+        claims = distance_claims(code, d, dual)
+        return claims["prop3_mu"], claims["prop4_rho"]
+
+    def test_reference_fixture(self, lrc_12_6_3):
+        assert mu_rho(KNOWN_DUAL_12_6_3, 12, 6) == (2, 1)
+        assert self.identities(lrc_12_6_3, 6, KNOWN_DUAL_12_6_3) == (
+            ("holds", None, {"mu": 2}), ("holds", None, {"rho": 1}))
 
     def test_mds(self):
         dual = tuple(3 + i for i in range(1, 5))
-        mu, rho = mu_rho(dual, 7, 3, d1=5)
-        assert (mu, rho) == (1, 0)
+        assert mu_rho(dual, 7, 3) == (1, 0)
+        assert self.identities(reed_solomon(8, 7, 3), 5, dual) == (
+            ("holds", None, {"mu": 1}), ("holds", None, {"rho": 0}))
 
-    def test_self_dual_pair_code(self):
-        mu, rho = mu_rho((2, 4), 4, 2, d1=2)
-        assert (mu, rho) == (2, 1)
+    def test_self_dual_pair_code(self, pair_code):
+        assert mu_rho((2, 4), 4, 2) == (2, 1)
+        assert self.identities(pair_code, 2, (2, 4)) == (
+            ("holds", None, {"mu": 2}), ("holds", None, {"rho": 1}))
+
+    def test_distance_mismatch_is_violated(self, lrc_12_6_3):
+        assert self.identities(lrc_12_6_3, 5, KNOWN_DUAL_12_6_3) == (
+            ("violated", None, {"mu": 2}), ("violated", None, {"rho": 1}))
 
     def test_identity_mismatch_raises(self):
+        # dual d_1 = k+1 puts mu at 1, yet d_2 - 2 < k puts rho at 2
+        with pytest.raises(RuntimeError, match="mu=1 != rho\\+1=3"):
+            mu_rho((3, 3), 4, 2)
         with pytest.raises(RuntimeError):
-            mu_rho(KNOWN_DUAL_12_6_3, 12, 6, d1=5)
+            distance_claims(reed_solomon(5, 4, 2), 3, (3, 3))
 
     def test_length_validation(self):
         with pytest.raises(ValueError):

@@ -89,6 +89,22 @@ class TestParseCodeFile:
         with pytest.raises(CodeFileError, match="invalid field"):
             parse_code_file("q 13 modulus 1 1\nn 2\nk 1\n1 1\n")
 
+    @pytest.mark.parametrize("text, line, reason", [
+        ("q 1\nn 2\nk 1\n1 1\n", 1, "invalid field"),
+        ("# header\nq 2\nn 0\nk 1\n1 1\n", 3, "n and k must be positive"),
+        ("q 2\nn 2\nk 0\n", 3, "n and k must be positive"),
+        ("q 2\nn 2\nk 2\n1 1\n", 3, "expected 2 generator rows, found 1"),
+        ("q 2\nn 2\nk 1\n\n0 0\n", 5, "generator has rank 0"),
+        ("q 2\nn 3\nk 1\n1 0 1\n", 4, "generator has all-zero column"),
+    ], ids=["q", "n", "k", "rows", "rank", "zero-column"])
+    def test_refusal_names_its_line(self, text, line, reason, tmp_path, capsys):
+        path = tmp_path / "bad.code"
+        path.write_text(text)
+        assert main(["analyze", str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert re.match(r"^error: line \d+", err) and "Traceback" not in err
+        assert err.startswith(f"error: line {line}: {reason}")
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("make", [

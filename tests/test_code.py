@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ghwkit.algebra import Matrix
-from ghwkit.code import CodeValidationError, LinearCode, hamming_weight, support
+from ghwkit.code import CodeValidationError, LinearCode
 from ghwkit.constructions import SplitMix64, random_code, reed_solomon
 from ghwkit.ghw import weight_hierarchy
 
-from oracles import codewords, identity, is_zero, mat_mul, transpose
+from oracles import codewords, hamming_weight, identity, is_zero, mat_mul, support, transpose
 
 # The package re-exports the function `ghw`, which hides the module.
 ghw_module = sys.modules["ghwkit.ghw"]

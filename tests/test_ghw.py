@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from ghwkit.algebra import Field, Matrix
 from ghwkit.bounds import certify_optimal
-from ghwkit.code import CodeValidationError, LinearCode, hamming_weight
+from ghwkit.code import CodeValidationError, LinearCode
 from ghwkit.constructions import random_code, reed_solomon
 from ghwkit.ghw import (
     LimitError,

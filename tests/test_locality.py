@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ghwkit.algebra import Matrix
-from ghwkit.code import CodeValidationError, LinearCode, hamming_weight, support
+from ghwkit.code import CodeValidationError, LinearCode
 from ghwkit.constructions import field_for_order, random_code, reed_solomon
 from ghwkit.ghw import LimitError, _subset_dfs
 from ghwkit.locality import (
@@ -21,7 +21,7 @@ from ghwkit.locality import (
     is_lrc,
     locality,
 )
-from oracles import dual_enum_locality, identity, mat_mul, transpose
+from oracles import dual_enum_locality, hamming_weight, identity, mat_mul, support, transpose
 
 locality_module = sys.modules["ghwkit.locality"]
 
