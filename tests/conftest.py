@@ -1,8 +1,17 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from ghwkit.algebra import Field
 from ghwkit.code import LinearCode
 from ghwkit.constructions import tamo_barg
+
+# pytest puts src/ on sys.path (pyproject.toml); the child interpreters some
+# tests start need it on PYTHONPATH to import the same checkout.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 
 @pytest.fixture(scope="session")
