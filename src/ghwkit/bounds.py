@@ -213,34 +213,32 @@ def _griesmer_sum(d: int, k: int, q: int, cap: int) -> int:
     return total
 
 
+def _griesmer_largest(q: int, n: int, fixed: int, name: str,
+                      fits: Callable[[int], bool]) -> int:
+    """min(n - fixed + 1, the largest x in 1..n with fits(2), ..., fits(x))
+    for a q-ary length-n code whose other parameter `name` is `fixed`."""
+    if not 1 <= fixed <= n:
+        raise ValueError(f"need 1 <= {name} <= n, got {name}={fixed}, n={n}")
+    if q < 2:
+        raise ValueError(f"field size must be >= 2, got {q}")
+    x = 1
+    while x < n and fits(x + 1):
+        x += 1
+    return min(n - fixed + 1, x)
+
+
 def d_opt_surrogate(q: int, n: int, k: int) -> int:
     """Upper bound on the best minimum distance of a q-ary [n, k] code:
     the minimum of the Singleton bound and the largest d passing the
     Griesmer inequality sum_{j<k} ceil(d/q^j) <= n."""
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if q < 2:
-        raise ValueError(f"field size must be >= 2, got {q}")
-    singleton = n - k + 1
-    d = 1
-    while d + 1 <= n and _griesmer_sum(d + 1, k, q, n) <= n:
-        d += 1
-    return min(singleton, d)
+    return _griesmer_largest(q, n, k, "k", lambda d: _griesmer_sum(d, k, q, n) <= n)
 
 
 def k_opt_surrogate(q: int, n: int, d: int) -> int:
     """Upper bound on the best dimension of a q-ary length-n code with
     minimum distance d: minimum of Singleton and the largest k passing
     the Griesmer inequality."""
-    if not 1 <= d <= n:
-        raise ValueError(f"need 1 <= d <= n, got d={d}, n={n}")
-    if q < 2:
-        raise ValueError(f"field size must be >= 2, got {q}")
-    singleton = n - d + 1
-    k = 1
-    while _griesmer_sum(d, k + 1, q, n) <= n:
-        k += 1
-    return min(singleton, k)
+    return _griesmer_largest(q, n, d, "d", lambda k: _griesmer_sum(d, k, q, n) <= n)
 
 
 @dataclass(frozen=True)
@@ -254,25 +252,29 @@ class PropBound:
     lrc_value: int | None
 
 
+def _prop_bound(code: LinearCode, dh: Sequence[int], r: int | None, singleton: int,
+                term: Callable[[int, int], int]) -> PropBound:
+    """min over 1 <= i <= rho of term(n - dual_d_i, i - dual_d_i), or
+    `singleton` when rho = 0, and, when r < k, the locality form: min over
+    1 <= i < ceil(k/r) of term(n - i(r+1), -ir)."""
+    n, k = code.n, code.k
+    _, rho = mu_rho(dh, n, k)
+    value = min((term(n - dh[i - 1], i - dh[i - 1]) for i in range(1, rho + 1)),
+                default=singleton)
+    lrc_value = None
+    if r is not None and r < k:
+        lrc_value = min(term(n - i * (r + 1), -i * r) for i in range(1, _ceil_div(k, r)))
+    return PropBound(value=value, range_empty=rho == 0, lrc_value=lrc_value)
+
+
 def prop1_bound(code: LinearCode, dual_hierarchy: Sequence[int],
                 r: int | None = None) -> PropBound:
     """Distance bound d <= min over 1 <= i <= rho of
     d_opt(n - dual_d_i, k + i - dual_d_i), plus the locality form
     d_opt(n - i(r+1), k - ir) when r < k."""
-    q, n, k = code.field.q, code.n, code.k
-    dh = list(dual_hierarchy)
-    _, rho = mu_rho(dh, n, k)
-    if rho == 0:
-        value, empty = n - k + 1, True
-    else:
-        value = min(d_opt_surrogate(q, n - dh[i - 1], k + i - dh[i - 1])
-                    for i in range(1, rho + 1))
-        empty = False
-    lrc_value = None
-    if r is not None and r < k:
-        lrc_value = min(d_opt_surrogate(q, n - i * (r + 1), k - i * r)
-                        for i in range(1, _ceil_div(k, r)))
-    return PropBound(value=value, range_empty=empty, lrc_value=lrc_value)
+    q, k = code.field.q, code.k
+    return _prop_bound(code, dual_hierarchy, r, code.n - k + 1,
+                       lambda length, shift: d_opt_surrogate(q, length, k + shift))
 
 
 def prop2_bound(code: LinearCode, dual_hierarchy: Sequence[int], d: int,
@@ -280,20 +282,9 @@ def prop2_bound(code: LinearCode, dual_hierarchy: Sequence[int], d: int,
     """Dimension bound k <= min over 1 <= i <= rho of
     k_opt(n - dual_d_i, d) - i + dual_d_i, plus the locality form
     ir + k_opt(n - i(r+1), d) when r < k."""
-    q, n, k = code.field.q, code.n, code.k
-    dh = list(dual_hierarchy)
-    _, rho = mu_rho(dh, n, k)
-    if rho == 0:
-        value, empty = n - d + 1, True
-    else:
-        value = min(k_opt_surrogate(q, n - dh[i - 1], d) - i + dh[i - 1]
-                    for i in range(1, rho + 1))
-        empty = False
-    lrc_value = None
-    if r is not None and r < k:
-        lrc_value = min(i * r + k_opt_surrogate(q, n - i * (r + 1), d)
-                        for i in range(1, _ceil_div(k, r)))
-    return PropBound(value=value, range_empty=empty, lrc_value=lrc_value)
+    q = code.field.q
+    return _prop_bound(code, dual_hierarchy, r, code.n - d + 1,
+                       lambda length, shift: k_opt_surrogate(q, length, d) - shift)
 
 
 # ---------------------------------------------------------------------------
@@ -406,21 +397,17 @@ def certify_optimal(code: LinearCode, *, promised_r: int | None = None,
     already; the locality search is then skipped.
     """
     n, k, q = code.n, code.k, code.field.q
+    if promised_r is not None and not 1 <= promised_r <= k:
+        raise ValueError(f"promised locality r={promised_r} outside 1..k={k}")
     _guard(code, limit_n)
     deadline = _deadline(time_limit)
     t0 = time.perf_counter()
     if profile is None:
         profile = locality(code, _deadline=deadline)
     t1 = time.perf_counter()
-    if promised_r is not None:
-        if not 1 <= promised_r <= k:
-            raise ValueError(f"promised locality r={promised_r} outside 1..k={k}")
-        if promised_r < profile.r:
-            raise ValueError(f"promised locality r={promised_r} is below the "
-                             f"exact locality {profile.r}")
-        r = promised_r
-    else:
-        r = profile.r
+    r = profile.r if promised_r is None else promised_r
+    if r < profile.r:
+        raise ValueError(f"promised locality r={r} is below the exact locality {profile.r}")
 
     remaining = None if deadline is None else deadline - time.monotonic()
     t2 = time.perf_counter()

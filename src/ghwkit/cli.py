@@ -8,8 +8,9 @@ Code file format (UTF-8, LF, ``#`` comments allowed anywhere)::
     k 6
     <k rows of n space-separated integers in [0, q)>
 
-Exit codes: 0 success, 1 usage/parse/limit errors and a closed output pipe,
-2 when any claim verdict is violated (a correctness alarm, never silent).
+Exit codes: 0 success; 1 for every refusal (a usage error, argparse's
+included, or a file, parse or limit error) and a closed output pipe; 2 when
+any claim verdict is violated (a correctness alarm, never silent).
 """
 
 from __future__ import annotations
@@ -49,10 +50,14 @@ def parse_code_file(text: str) -> LinearCode:
             continue
         entries.append((lineno, line.split()))
 
-    if len(entries) < 3:
-        raise CodeFileError("file needs header lines 'q', 'n', 'k' and a generator")
+    if not entries:
+        raise CodeFileError("file is empty: it needs header lines 'q', 'n', 'k' "
+                            "and a generator")
 
     def header(pos: int, key: str) -> tuple[int, list[str]]:
+        if pos == len(entries):
+            raise CodeFileError(f"line {len(text.splitlines()) + 1}: expected '{key} <int>', "
+                                "found the end of the file")
         lineno, tokens = entries[pos]
         if tokens[0] != key:
             raise CodeFileError(f"line {lineno}: expected '{key} <int>', got "
@@ -233,21 +238,11 @@ def render_text(report: dict) -> str:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    try:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        code = parse_code_file(text)
-        report = analysis_report(code, promised_r=args.promised_r,
-                                 with_witnesses=args.witnesses,
-                                 limit_n=args.limit_n,
-                                 time_limit=args.time_limit)
-    except (CodeFileError, CodeValidationError, LimitError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    with open(args.file, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    report = analysis_report(parse_code_file(text), promised_r=args.promised_r,
+                             with_witnesses=args.witnesses, limit_n=args.limit_n,
+                             time_limit=args.time_limit)
     if args.json:
         print(json.dumps(report, indent=2))
     else:
@@ -261,52 +256,45 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
-    try:
-        if args.kind == "tamo-barg":
-            if args.r is None:
-                raise ValueError("tamo-barg needs --r")
-            code = tamo_barg(args.q, args.n, args.k, args.r)
-            extra, points = f" r={args.r}", _subgroup(code.field, args.n)
-        elif args.kind == "reed-solomon":
-            code = reed_solomon(args.q, args.n, args.k)
-            extra, points = "", range(args.n)
-        else:
-            code = random_code(args.q, args.n, args.k, args.seed)
-            extra, points = f" seed={args.seed}", None
-    except (ValueError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    if args.kind == "tamo-barg":
+        if args.r is None:
+            raise ValueError("tamo-barg needs --r")
+        code = tamo_barg(args.q, args.n, args.k, args.r)
+        extra, points = f" r={args.r}", _subgroup(code.field, args.n)
+    elif args.kind == "reed-solomon":
+        code = reed_solomon(args.q, args.n, args.k)
+        extra, points = "", range(args.n)
+    else:
+        code = random_code(args.q, args.n, args.k, args.seed)
+        extra, points = f" seed={args.seed}", None
     kind = args.kind.replace("-", "_")
     comments = [f"kind={kind} q={args.q} n={args.n} k={args.k}{extra}"]
     if points is not None:
         comments.append("evaluation points (element indices): "
                         + " ".join(str(x) for x in points))
     text = serialize_code(code, comments)
-    try:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    with open(args.output, "w", encoding="utf-8") as fh:
+        fh.write(text)
     print(f"wrote [{code.n},{code.k}] code over GF({code.field.q}) to {args.output}")
     return EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        results = run_suite(args.suite, seed=args.seed, count=args.count)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    all_ok = True
+    results = run_suite(args.suite, seed=args.seed, count=args.count)
     for res in results:
         print(res.summary())
-        all_ok = all_ok and res.ok
+    all_ok = all(res.ok for res in results)
     total_checks = sum(r.checks for r in results)
     total_codes = sum(r.codes for r in results)
     print(f"total: {total_codes} codes, {total_checks} checks, "
           f"{'all suites pass' if all_ok else 'FAILURES PRESENT'}")
     return EXIT_OK if all_ok else EXIT_CLAIM_VIOLATED
+
+
+def _positive_int(text: str) -> int:
+    if not (text.isdecimal() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -344,24 +332,28 @@ def build_parser() -> argparse.ArgumentParser:
     p_ve.add_argument("suite", nargs="?", default="all",
                       choices=(*SUITES.keys(), "all"))
     p_ve.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_ve.add_argument("--count", type=int, default=DEFAULT_COUNT)
+    p_ve.add_argument("--count", type=_positive_int, default=DEFAULT_COUNT)
     p_ve.set_defaults(func=cmd_verify)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         rc = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return rc
+    except SystemExit as exc:  # from argparse: 0 after --help, 2 after a usage error
+        return EXIT_OK if exc.code == 0 else EXIT_USAGE
     except BrokenPipeError:
         # The reader closed the pipe: point stdout at devnull so that the
         # flush at interpreter exit cannot fail again.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+        return EXIT_USAGE
+    except (LimitError, OSError, ValueError, ZeroDivisionError) as exc:  # a refusal
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

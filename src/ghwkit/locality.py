@@ -98,11 +98,12 @@ def _dual_supports(code: LinearCode, cap: int,
     return best
 
 
-def _cover_search(code: LinearCode, cap: int,
-                  deadline: float | None = None) -> list[tuple[int, ...] | None]:
+def _cover_search(code: LinearCode, cap: int, deadline: float | None = None,
+                  only: int | None = None) -> list[tuple[int, ...] | None]:
     """For each coordinate j, the lexicographically first smallest support of
     a dual codeword covering j, with at most cap + 1 coordinates; None when
-    there is none.
+    there is none.  With `only`, the passes search for that coordinate
+    alone, and the list is exact there.
 
     One covers-mode DFS pass per size settles every coordinate whose
     smallest cover has that size.  Once the passes have visited
@@ -113,7 +114,8 @@ def _cover_search(code: LinearCode, cap: int,
     cols, fld = _columns(columns, code.field)
     uncoverable = set(_uncoverable(code))
     supports = [None if any(col) else (j,) for j, col in enumerate(columns)]
-    uncovered = {j: cols[j] for j, s in enumerate(supports) if s is None and j not in uncoverable}
+    uncovered = {j: cols[j] for j, s in enumerate(supports)
+                 if s is None and j not in uncoverable and only in (None, j)}
     words, per_node = code.field.q ** (n - code.k), _WORDS_PER_NODE
     nodes = _Nodes(words // per_node if per_node else math.inf)
     size = 0
@@ -160,7 +162,7 @@ def coordinate_locality(code: LinearCode, j: int) -> int:
     _guard(code)
     if not 0 <= j < code.n:
         raise IndexError(f"coordinate {j} out of range")
-    subset = _cover_search(code, code.k)[j]
+    subset = _cover_search(code, code.k, only=j)[j]
     if subset is None:
         raise UncoverableCoordinateError(
             f"coordinate {j + 1} lies in no dual codeword support")

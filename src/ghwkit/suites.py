@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .bounds import (
     HOLDS,
@@ -117,10 +118,31 @@ def _fixtures() -> list[tuple[str, LinearCode]]:
     ]
 
 
-def run_duality(seed: int = DEFAULT_SEED, count: int = DEFAULT_COUNT) -> SuiteResult:
+SUITES: dict[str, Callable[[int, int], SuiteResult]] = {}
+
+
+def _suite(check: Callable[[SuiteResult, int, int], None]) -> Callable[..., SuiteResult]:
+    """Register `check(result, seed, count)` as the suite named after it
+    (`run_optimal_rk` is "optimal-rk"), in definition order, behind a runner
+    that builds, fills and times its `SuiteResult`."""
+    name = check.__name__.removeprefix("run_").replace("_", "-")
+
+    def run(seed: int = DEFAULT_SEED, count: int = DEFAULT_COUNT) -> SuiteResult:
+        result = SuiteResult(name=name)
+        t0 = time.monotonic()
+        check(result, seed, count)
+        result.elapsed = time.monotonic() - t0
+        return result
+
+    run.__name__ = run.__qualname__ = check.__name__
+    run.__doc__ = check.__doc__
+    SUITES[name] = run
+    return run
+
+
+@_suite
+def run_duality(result: SuiteResult, seed: int, count: int) -> None:
     """Both hierarchy duality identities, exact, on seeded random codes."""
-    result = SuiteResult(name="duality")
-    t0 = time.monotonic()
     for label, code in _random_codes(seed, count):
         result.codes += 1
         report = check_wei_duality(code)
@@ -130,39 +152,12 @@ def run_duality(seed: int = DEFAULT_SEED, count: int = DEFAULT_COUNT) -> SuiteRe
             result.failures.append(f"{label}: {'; '.join(report.violations)}")
             continue
         _universal_checks(label, code, report.primal[0], report.dual, result)
-    result.elapsed = time.monotonic() - t0
-    return result
 
 
-def run_oracle(seed: int = DEFAULT_SEED, count: int = DEFAULT_COUNT) -> SuiteResult:
-    """Subset-rank hierarchy values against the definition-level oracle."""
-    result = SuiteResult(name="oracle")
-    t0 = time.monotonic()
-
-    def k_top(q: int, n: int) -> int:
-        return 6 if q == 2 else 5  # keeps the subspace enumeration tractable
-
-    for label, code in _random_codes(seed, count, qs=(2, 3), n_lo=2, n_hi=8,
-                                     k_top=k_top):
-        result.codes += 1
-        hier = weight_hierarchy(code)
-        for i in range(1, code.k + 1):
-            oracle = ghw_oracle(code, i)
-            result.tally("oracle_agreement")
-            if hier.values[i - 1] != oracle:
-                result.failures.append(
-                    f"{label}: d_{i} sweep={hier.values[i - 1]} oracle={oracle}")
-        _universal_checks(label, code, hier.values[0], dual_hierarchy_values(code), result)
-    result.elapsed = time.monotonic() - t0
-    return result
-
-
-def run_lemmas(seed: int = DEFAULT_SEED, count: int = DEFAULT_COUNT) -> SuiteResult:
+@_suite
+def run_lemmas(result: SuiteResult, seed: int, count: int) -> None:
     """Unconditional LRC claims on random codes with computed locality r < k,
     plus the pure-formula reductions of the hierarchy bound on a grid."""
-    result = SuiteResult(name="lemmas")
-    t0 = time.monotonic()
-
     # Formula identities, no codes involved.
     for n in range(1, 21):
         for k in range(1, n + 1):
@@ -213,79 +208,65 @@ def run_lemmas(seed: int = DEFAULT_SEED, count: int = DEFAULT_COUNT) -> SuiteRes
         if report.dual_hierarchy != dual_values:
             result.failures.append(f"{label}: Wei-derived dual hierarchy "
                                    f"{report.dual_hierarchy} != dual sweep {dual_values}")
-    result.elapsed = time.monotonic() - t0
-    return result
 
 
-def run_optimal_rk(seed: int = DEFAULT_SEED, count: int = DEFAULT_COUNT) -> SuiteResult:
-    """Exact-hierarchy statements on certified-optimal fixtures with r | k."""
-    result = SuiteResult(name="optimal-rk")
-    t0 = time.monotonic()
-    fixtures = [("tamo-barg(5,4,2,1)", tamo_barg(5, 4, 2, 1), 1),
-                ("tamo-barg(13,12,6,3)", tamo_barg(13, 12, 6, 3), 3),
-                ("tamo-barg(16,15,8,4)", tamo_barg(16, 15, 8, 4), 4)]
-    try:
-        fixtures.append(("tamo-barg(?,8,4,2)", tamo_barg(9, 8, 4, 2), 2))
-    except ValueError as exc:
-        result.notes.append(
-            f"(8,4,2) fixture unavailable: {exc}; a distance-optimal code with "
-            "r | k needs (r+1) | n, so no such fixture exists")
-    for label, code, r in fixtures:
-        result.codes += 1
-        report = certify_optimal(code)
-        if not report.is_optimal:
-            result.failures.append(f"{label}: did not certify distance-optimal")
-            continue
-        if report.r != r:
-            result.failures.append(f"{label}: computed locality {report.r} != {r}")
-        # thm2 pins the dual hierarchy and thm3 the primal one to their
-        # closed forms; thm3's is the generalized bound at every i.
-        n, k = code.n, code.k
-        result.tally("thm2", n - k)
-        result.tally("thm3", k)
-        result.tally("thm1_equality", k)
-        result.tally("lem1", n - k)
-        _record(label, report.verdicts, result, required=("thm2", "thm3"))
-    result.elapsed = time.monotonic() - t0
-    return result
-
-
-def run_optimal_rnk(seed: int = DEFAULT_SEED, count: int = DEFAULT_COUNT) -> SuiteResult:
-    """Lower-bound statements on certified-optimal fixtures with r not
-    dividing k; certification failure marks the fixture unavailable and
-    fails the suite."""
-    result = SuiteResult(name="optimal-rnk")
-    t0 = time.monotonic()
-    fixtures = [("tamo-barg(13,12,5,3)", tamo_barg(13, 12, 5, 3), 3, 7),
-                ("tamo-barg(13,12,7,3)", tamo_barg(13, 12, 7, 3), 3, 4),
-                ("tamo-barg(16,15,9,4)", tamo_barg(16, 15, 9, 4), 4, 5)]
-    for label, code, r, expected_d in fixtures:
+def _optimal_fixtures(result: SuiteResult, fixtures, required: tuple[str, ...],
+                      tallies: Callable[[int, int, int], dict[str, int]]) -> None:
+    """Certify each (label, code, r, d) fixture, require it distance-optimal
+    with locality r and, unless d is None, distance d, tally
+    `tallies(n, k, r)`, and record its verdicts with `required`."""
+    for label, code, r, d in fixtures:
         result.codes += 1
         report = certify_optimal(code)
         if not report.is_optimal:
             result.failures.append(f"{label}: fixture unavailable - did not "
                                    "certify distance-optimal")
             continue
-        n, k = code.n, code.k
-        if report.d != expected_d:
-            result.failures.append(f"{label}: d={report.d} != {expected_d} "
-                                   "from the distance bound")
         if report.r != r:
             result.failures.append(f"{label}: computed locality {report.r} != {r}")
-        for claim in ("lem5", "lem6", "thm4"):
-            result.tally(claim)
-        # lem5 checks its second branch, dual d_i = k+i, as an equality.
-        result.tally("lem5_second_branch_exact", n - k - _ceil_div(k, r) + 1)
-        _record(label, report.verdicts, result, required=("lem5", "lem6", "thm4"))
-    result.elapsed = time.monotonic() - t0
-    return result
+        if d is not None and report.d != d:
+            result.failures.append(f"{label}: d={report.d} != {d} from the distance bound")
+        for claim, checks in tallies(code.n, code.k, r).items():
+            result.tally(claim, checks)
+        _record(label, report.verdicts, result, required)
 
 
-def run_props(seed: int = DEFAULT_SEED, count: int = DEFAULT_COUNT) -> SuiteResult:
+@_suite
+def run_optimal_rk(result: SuiteResult, seed: int, count: int) -> None:
+    """Exact-hierarchy statements on certified-optimal fixtures with r | k."""
+    fixtures = [("tamo-barg(5,4,2,1)", tamo_barg(5, 4, 2, 1), 1, None),
+                ("tamo-barg(13,12,6,3)", tamo_barg(13, 12, 6, 3), 3, None),
+                ("tamo-barg(16,15,8,4)", tamo_barg(16, 15, 8, 4), 4, None)]
+    try:
+        fixtures.append(("tamo-barg(?,8,4,2)", tamo_barg(9, 8, 4, 2), 2, None))
+    except ValueError as exc:
+        result.notes.append(
+            f"(8,4,2) fixture unavailable: {exc}; a distance-optimal code with "
+            "r | k needs (r+1) | n, so no such fixture exists")
+    # thm2 pins the dual hierarchy and thm3 the primal one to their closed
+    # forms; thm3's is the generalized bound at every i.
+    _optimal_fixtures(result, fixtures, ("thm2", "thm3"), lambda n, k, r: {
+        "thm2": n - k, "thm3": k, "thm1_equality": k, "lem1": n - k})
+
+
+@_suite
+def run_optimal_rnk(result: SuiteResult, seed: int, count: int) -> None:
+    """Lower-bound statements on certified-optimal fixtures with r not
+    dividing k; certification failure marks the fixture unavailable and
+    fails the suite."""
+    fixtures = [("tamo-barg(13,12,5,3)", tamo_barg(13, 12, 5, 3), 3, 7),
+                ("tamo-barg(13,12,7,3)", tamo_barg(13, 12, 7, 3), 3, 4),
+                ("tamo-barg(16,15,9,4)", tamo_barg(16, 15, 9, 4), 4, 5)]
+    # lem5 checks its second branch, dual d_i = k+i, as an equality.
+    _optimal_fixtures(result, fixtures, ("lem5", "lem6", "thm4"), lambda n, k, r: {
+        "lem5": 1, "lem6": 1, "thm4": 1,
+        "lem5_second_branch_exact": n - k - _ceil_div(k, r) + 1})
+
+
+@_suite
+def run_props(result: SuiteResult, seed: int, count: int) -> None:
     """mu/rho identities and surrogate-bound soundness, plus tightness of
     both surrogate bounds on the (12,6,3) fixture."""
-    result = SuiteResult(name="props")
-    t0 = time.monotonic()
     pool = _fixtures()
     pool.extend(_random_codes(seed + 1, max(count // 4, 40)))
     for label, code in pool:
@@ -302,18 +283,25 @@ def run_props(seed: int = DEFAULT_SEED, count: int = DEFAULT_COUNT) -> SuiteResu
         payload = claims[claim][2]
         if not payload["bound"] == payload["lrc_bound"] == value == 6:
             result.failures.append(f"(12,6,3): {claim} not tight: {payload} vs {value}")
-    result.elapsed = time.monotonic() - t0
-    return result
 
 
-SUITES = {
-    "duality": run_duality,
-    "lemmas": run_lemmas,
-    "optimal-rk": run_optimal_rk,
-    "optimal-rnk": run_optimal_rnk,
-    "props": run_props,
-    "oracle": run_oracle,
-}
+@_suite
+def run_oracle(result: SuiteResult, seed: int, count: int) -> None:
+    """Subset-rank hierarchy values against the definition-level oracle."""
+    def k_top(q: int, n: int) -> int:
+        return 6 if q == 2 else 5  # keeps the subspace enumeration tractable
+
+    for label, code in _random_codes(seed, count, qs=(2, 3), n_lo=2, n_hi=8,
+                                     k_top=k_top):
+        result.codes += 1
+        hier = weight_hierarchy(code)
+        for i in range(1, code.k + 1):
+            oracle = ghw_oracle(code, i)
+            result.tally("oracle_agreement")
+            if hier.values[i - 1] != oracle:
+                result.failures.append(
+                    f"{label}: d_{i} sweep={hier.values[i - 1]} oracle={oracle}")
+        _universal_checks(label, code, hier.values[0], dual_hierarchy_values(code), result)
 
 
 def run_suite(name: str, seed: int = DEFAULT_SEED,

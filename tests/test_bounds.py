@@ -3,6 +3,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ghwkit import bounds
 from ghwkit.bounds import (
     certify_optimal,
     d_opt_surrogate,
@@ -336,6 +337,19 @@ class TestCertifyOptimal:
     def test_promised_r_below_exact_rejected(self, lrc_12_6_3):
         with pytest.raises(ValueError, match="below the exact locality"):
             certify_optimal(lrc_12_6_3, promised_r=2)
+
+    @pytest.mark.parametrize("promised_r", [0, 99])
+    def test_promised_r_out_of_range_rejected_before_any_search(self, promised_r,
+                                                               monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("searched before checking promised_r")
+
+        monkeypatch.setattr(bounds, "locality", no_search)
+        monkeypatch.setattr(bounds, "weight_hierarchy", no_search)
+        code = random_code(16, 18, 9, seed=1)
+        with pytest.raises(ValueError, match=rf"^promised locality r={promised_r} "
+                                             r"outside 1\.\.k=9$"):
+            certify_optimal(code, promised_r=promised_r)
 
     def test_full_support_required(self, gf2):
         from ghwkit.code import CodeValidationError, LinearCode

@@ -96,7 +96,10 @@ class TestParseCodeFile:
         ("q 2\nn 2\nk 2\n1 1\n", 3, "expected 2 generator rows, found 1"),
         ("q 2\nn 2\nk 1\n\n0 0\n", 5, "generator has rank 0"),
         ("q 2\nn 3\nk 1\n1 0 1\n", 4, "generator has all-zero column"),
-    ], ids=["q", "n", "k", "rows", "rank", "zero-column"])
+        ("q 2\n", 2, "expected 'n <int>', found the end of the file"),
+        ("q 2\nn 2\n", 3, "expected 'k <int>', found the end of the file"),
+        ("# header\nq 2\nn 2  # length\n\n", 5, "expected 'k <int>', found the end"),
+    ], ids=["q", "n", "k", "rows", "rank", "zero-column", "no-n", "no-k", "no-k-blank-tail"])
     def test_refusal_names_its_line(self, text, line, reason, tmp_path, capsys):
         path = tmp_path / "bad.code"
         path.write_text(text)
@@ -104,6 +107,13 @@ class TestParseCodeFile:
         err = capsys.readouterr().err
         assert re.match(r"^error: line \d+", err) and "Traceback" not in err
         assert err.startswith(f"error: line {line}: {reason}")
+
+    @pytest.mark.parametrize("text", ["", "# a comment only\n\n"], ids=["blank", "comments"])
+    def test_empty_file_is_named_empty(self, text, tmp_path, capsys):
+        path = tmp_path / "empty.code"
+        path.write_text(text)
+        assert main(["analyze", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: file is empty")
 
 
 class TestRoundTrip:
@@ -284,6 +294,26 @@ class TestVerify:
         rc = main(["verify", "duality"])
         assert rc == EXIT_CLAIM_VIOLATED
         assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "duality", "--count", "-5"],
+    ["verify", "--count", "0"],
+    ["verify", "--count", "abc"],
+    ["bogus"],
+    ["analyze"],
+], ids=["count-negative", "count-zero", "count-text", "bogus-command", "analyze-no-file"])
+def test_usage_errors_exit_one(argv, capsys):
+    """Argparse's refusals go through the one refusal handler: exit 1, not
+    2, which stays reserved for a violated claim, and no suite runs."""
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error: " in captured.err
+
+
+def test_help_exits_zero(capsys):
+    assert main(["--help"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("usage: ghwkit")
 
 
 def test_analyze_violated_claim_exits_two(tmp_path, capsys, monkeypatch):

@@ -244,6 +244,22 @@ def test_locality_walks_the_representation_of_its_field(monkeypatch, q, packed):
     assert routes and set(routes) == {(packed, packed)}
 
 
+@pytest.mark.parametrize("q, n, k", [(16, 11, 5), (9, 11, 5), (2, 17, 7)])
+def test_coordinate_locality_searches_its_coordinate_alone(monkeypatch, q, n, k):
+    code = random_code(q, n, k, seed=1)
+    expected = locality(code).per_coordinate
+    for j in range(n):
+        seen = []
+
+        def spy(cols, s, need, deadline, fld, nodes, uncovered):
+            seen.append(set(uncovered))
+            return _subset_dfs(cols, s, need, deadline, fld, nodes, uncovered)
+
+        monkeypatch.setattr(locality_module, "_subset_dfs", spy)
+        assert coordinate_locality(code, j) == expected[j]
+        assert seen and all(keys == {j} for keys in seen)
+
+
 def _spy_walks(monkeypatch) -> list[int]:
     """Record the cap of every `_dual_supports` call."""
     caps: list[int] = []
