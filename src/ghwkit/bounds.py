@@ -16,10 +16,11 @@ Closed-form material implemented here, with (n, k, r, q) integer inputs:
 * field-size-aware bounds via analytic surrogates for the best possible
   distance/dimension (minimum of the Singleton and Griesmer bounds).
 
-``certify_optimal`` computes the exact locality and hierarchy of a code,
-derives the dual hierarchy by Wei duality (V. K. Wei, IEEE Trans. IT 37(5),
-1991), evaluates every claim, and reports whether the code is
-distance-optimal for its locality.
+``certify_optimal`` computes the exact locality of a code, which gives
+its dual distance, then the hierarchy, from a sweep that starts past that
+distance on the dual side; it derives the dual hierarchy by Wei duality
+(V. K. Wei, IEEE Trans. IT 37(5), 1991), evaluates every claim, and
+reports whether the code is distance-optimal for its locality.
 """
 
 from __future__ import annotations
@@ -394,7 +395,9 @@ def certify_optimal(code: LinearCode, *, promised_r: int | None = None,
     parameter instead of the computed one; it must be a genuine upper
     bound on the exact locality.  ``time_limit`` bounds the whole run.
     ``profile`` is the code's `locality` result when the caller has it
-    already; the locality search is then skipped.
+    already; the locality search is then skipped.  It must be that exact
+    result: its smallest locality plus one is the dual distance, which
+    starts the hierarchy sweep of G past the sizes it settles.
     """
     n, k, q = code.n, code.k, code.field.q
     if promised_r is not None and not 1 <= promised_r <= k:
@@ -411,8 +414,11 @@ def certify_optimal(code: LinearCode, *, promised_r: int | None = None,
 
     remaining = None if deadline is None else deadline - time.monotonic()
     t2 = time.perf_counter()
+    # A coordinate's locality is the weight of the lightest dual codeword
+    # covering it, minus one, so the lightest of all gives the dual distance.
     primal = weight_hierarchy(code, with_witnesses=with_witnesses, limit_n=limit_n,
-                              time_limit=remaining)
+                              time_limit=remaining,
+                              _dual_distance=min(profile.per_coordinate) + 1)
     timings = {"locality": (t1 - t0) * 1000, "hierarchy": (time.perf_counter() - t2) * 1000}
     dual_values = _wei_complement(n, primal.values)
     dual_gaps = _gaps(n, dual_values)

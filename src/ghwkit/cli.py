@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -297,6 +298,16 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _positive_seconds(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not value > 0:  # NaN fails too: as a limit it would never trip the guard
+        raise argparse.ArgumentTypeError(f"expected a positive number of seconds, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ghwkit",
@@ -309,12 +320,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--json", action="store_true", help="emit a JSON report")
     p_an.add_argument("--witnesses", action="store_true",
                       help="include witness subcodes for each hierarchy value")
-    p_an.add_argument("--limit-n", type=int, default=DEFAULT_LIMIT_N,
+    p_an.add_argument("--limit-n", type=_positive_int, default=DEFAULT_LIMIT_N,
                       dest="limit_n", help="hierarchy enumeration limit on n")
     p_an.add_argument("--promised-r", type=int, default=None, dest="promised_r",
                       help="evaluate claims at this locality parameter instead "
                            "of the computed one (must be an upper bound)")
-    p_an.add_argument("--time-limit", type=float, default=None, dest="time_limit",
+    p_an.add_argument("--time-limit", type=_positive_seconds, default=None, dest="time_limit",
                       help="wall-time guard in seconds for the whole analysis")
     p_an.set_defaults(func=cmd_analyze)
 

@@ -19,6 +19,11 @@ matrix of the dual code, and Wei duality (V. K. Wei, IEEE Trans. IT 37(5),
 search on H at each size d_i with need i.  `check_wei_duality` pins one
 sweep to each side, so it never compares a sweep with itself.
 
+A caller that knows the dual distance d_1(C⊥) passes it in: the locality
+search of `ghwkit.bounds.certify_optimal` finds it as the smallest locality
+plus one.  The G sweep then starts at size d_1(C⊥) + 1 with need 2, and a
+tie (k = n - k) sweeps G, since only that side is shortened.
+
 One DFS body, `_subset_dfs`, walks column subsets in lex order for both
 searches.  It reduces each candidate column against a pivot basis of the
 chosen ones, over either of two column representations: over GF(2) each
@@ -211,12 +216,16 @@ def _size_search(check: Matrix, side: str = "check"):
     return search
 
 
-def _sweep_hierarchy(check: Matrix, dims: int, *, side: str, deadline: float | None):
+def _sweep_hierarchy(check: Matrix, dims: int, *, side: str, deadline: float | None,
+                     d1: int | None = None):
     """d_1..d_dims for the code with the given check matrix, and for each
-    the first subset that reaches it."""
+    the first subset that reaches it.  A caller that knows d_1 already (the
+    minimum distance of that code) passes it as `d1`: the sweep records it
+    with no subset and starts at size d1 + 1 with need 2, as e(d1) = 1."""
     search = _size_search(check, side)
-    subsets: dict[int, tuple[int, ...]] = {}  # d_i -> the first subset reaching it
-    for s in range(1, check.ncols + 1):
+    # d_i -> the first subset reaching it
+    subsets: dict[int, tuple[int, ...] | None] = {} if d1 is None else {d1: None}
+    for s in range(1 if d1 is None else d1 + 1, check.ncols + 1):
         if len(subsets) == dims:
             break
         _, subset = search(s, len(subsets) + 1, deadline)
@@ -249,7 +258,11 @@ def _guard(code: LinearCode, limit_n: int) -> None:
 
 
 def _deadline(time_limit: float | None) -> float | None:
-    return None if time_limit is None else time.monotonic() + time_limit
+    if time_limit is None:
+        return None
+    if math.isnan(time_limit):  # no clock time is ever past a NaN deadline
+        raise ValueError("time limit must be a number of seconds, got nan")
+    return time.monotonic() + time_limit
 
 
 @dataclass(frozen=True)
@@ -269,14 +282,18 @@ class WeightHierarchy:
             raise ValueError("gap numbers are not the complement of the hierarchy")
 
 
-def _hierarchy(code: LinearCode, dims: int, witnessed, deadline: float | None):
+def _hierarchy(code: LinearCode, dims: int, witnessed, deadline: float | None,
+               dual_distance: int | None = None):
     """d_1..d_dims by the side choice, and for each i in `witnessed` the first
-    subset of H reaching d_i (after a G sweep, one H search: size d_i, need i)."""
+    subset of H reaching d_i (after a G sweep, one H search: size d_i, need i).
+    A known `dual_distance` starts the G sweep past it, so a tie (k = n - k)
+    then sweeps G."""
     n, k = code.n, code.k
-    if k >= n - k:
+    if k > n - k or (k == n - k and dual_distance is None):
         values, subsets = _sweep_hierarchy(code.check, dims, side="check", deadline=deadline)
         return values, {i: subsets[i - 1] for i in witnessed}
-    dual, _ = _sweep_hierarchy(code.generator, n - k, side="generator", deadline=deadline)
+    dual, _ = _sweep_hierarchy(code.generator, n - k, side="generator", deadline=deadline,
+                               d1=dual_distance)
     values = _wei_complement(n, dual)[:dims]
     search = _size_search(code.check)
     return values, {i: search(values[i - 1], i, deadline)[1] for i in witnessed}
@@ -295,14 +312,17 @@ def ghw(code: LinearCode, i: int, *, with_witness: bool = True,
 
 def weight_hierarchy(code: LinearCode, *, with_witnesses: bool = False,
                      limit_n: int = DEFAULT_LIMIT_N,
-                     time_limit: float | None = None) -> WeightHierarchy:
+                     time_limit: float | None = None,
+                     _dual_distance: int | None = None) -> WeightHierarchy:
     """d_1..d_k from a sweep of H, or of G through Wei duality when G has
     fewer rows (k < n - k); the same values either way.  Witnesses are the
     first subsets the H sweep reaches each d_i with; on the G side they cost
-    one search on H per d_i."""
+    one search on H per d_i.  `_dual_distance`, the minimum distance of the
+    dual code when the caller has it, lets the G sweep skip the sizes up to
+    it, and a tie (k = n - k) then sweeps G."""
     _guard(code, limit_n)
     values, subsets = _hierarchy(code, code.k, range(1, code.k + 1) if with_witnesses else [],
-                                 _deadline(time_limit))
+                                 _deadline(time_limit), _dual_distance)
     witnesses = ({i: _witness_from_subset(code, subset) for i, subset in subsets.items()}
                  if with_witnesses else None)
     return WeightHierarchy(code=code, values=tuple(values), gaps=_gaps(code.n, values),

@@ -24,9 +24,15 @@ from ghwkit.bounds import (
     prop2_bound,
     singleton_like_bound,
 )
+from ghwkit.code import LinearCode
 from ghwkit.constructions import random_code, reed_solomon, tamo_barg
-from ghwkit.ghw import LimitError, dual_hierarchy_values, weight_hierarchy
-from ghwkit.locality import UncoverableCoordinateError
+from ghwkit.ghw import (
+    LimitError,
+    dual_hierarchy_values,
+    primal_hierarchy_values,
+    weight_hierarchy,
+)
+from ghwkit.locality import UncoverableCoordinateError, locality
 
 KNOWN_PRIMAL_12_6_3 = (6, 7, 8, 10, 11, 12)
 KNOWN_DUAL_12_6_3 = (4, 8, 9, 10, 11, 12)
@@ -385,6 +391,15 @@ class TestCertifyOptimal:
             certify_optimal(code, time_limit=1.0)
         assert time.monotonic() - start < 5.0
 
+    def test_time_limit_stops_the_sweep_that_starts_past_the_dual_distance(self):
+        # A tie (k = n - k): with the dual distance known, G is swept.
+        code = random_code(2, 22, 11, seed=1)
+        profile = locality(code)
+        start = time.monotonic()
+        with pytest.raises(LimitError, match=r"\(generator side, size \d+ of 22\)"):
+            certify_optimal(code, profile=profile, time_limit=0.05)
+        assert time.monotonic() - start < 0.5
+
 
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
@@ -400,3 +415,44 @@ def test_wei_derived_dual_hierarchy_matches_the_dual_sweep(data):
     dual = dual_hierarchy_values(code)
     assert report.dual_hierarchy == dual
     assert report.dual_gaps == tuple(sorted(set(range(1, n + 1)) - set(dual)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_certification_agrees_with_independent_routes(data):
+    """certify_optimal starts its G sweep past the dual distance that its
+    locality search found.  Its hierarchies must equal a sweep pinned to each
+    side, its dual distance the lightest covering dual word, and its
+    witnesses those of weight_hierarchy.  Ties, high-rate codes (whose
+    locality search walks the dual words) and duals with zero coordinates
+    (dual distance 1) are drawn on purpose."""
+    q = data.draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 16]), label="q")
+    shape = data.draw(st.sampled_from(["any", "tie", "high rate", "zero coordinates"]),
+                      label="shape")
+    seed = data.draw(st.integers(0, 2**32), label="seed")
+    if shape == "tie":
+        k = data.draw(st.integers(1, 6), label="k")
+        code = random_code(q, 2 * k, k, seed)
+    elif shape == "high rate":
+        n = data.draw(st.integers(3, 12), label="n")
+        code = random_code(q, n, n - data.draw(st.integers(1, 2), label="n - k"), seed)
+    elif shape == "zero coordinates":
+        # The dual of a code holding unit vectors misses their coordinates.
+        n = data.draw(st.integers(4, 12), label="n")
+        base = random_code(q, n, data.draw(st.integers(1, n - 3), label="k"), seed)
+        units = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2),
+                          label="units")
+        rows = [*base.generator.rows, *([int(j == u) for j in range(n)] for u in units)]
+        code = LinearCode(base.field, rows).dual()
+        assert code.zero_coordinates
+    else:
+        n = data.draw(st.integers(8, 12), label="n")
+        code = random_code(q, n, data.draw(st.integers(1, n - 1), label="k"), seed)
+    try:
+        report = certify_optimal(code, with_witnesses=True)
+    except UncoverableCoordinateError:
+        return
+    assert report.primal_hierarchy == primal_hierarchy_values(code)
+    assert report.dual_hierarchy == dual_hierarchy_values(code)
+    assert report.dual_hierarchy[0] == min(report.locality_profile.per_coordinate) + 1
+    assert report.witnesses == weight_hierarchy(code, with_witnesses=True).witnesses

@@ -302,13 +302,23 @@ class TestVerify:
     ["verify", "--count", "abc"],
     ["bogus"],
     ["analyze"],
-], ids=["count-negative", "count-zero", "count-text", "bogus-command", "analyze-no-file"])
+    ["analyze", str(GOLDEN_CODE), "--time-limit", "nan"],
+    ["analyze", str(GOLDEN_CODE), "--time-limit", "-1"],
+    ["analyze", str(GOLDEN_CODE), "--time-limit", "0"],
+    ["analyze", str(GOLDEN_CODE), "--limit-n", "0"],
+    ["analyze", str(GOLDEN_CODE), "--limit-n", "-5"],
+], ids=["count-negative", "count-zero", "count-text", "bogus-command", "analyze-no-file",
+        "time-limit-nan", "time-limit-negative", "time-limit-zero",
+        "limit-n-zero", "limit-n-negative"])
 def test_usage_errors_exit_one(argv, capsys):
     """Argparse's refusals go through the one refusal handler: exit 1, not
-    2, which stays reserved for a violated claim, and no suite runs."""
+    2, which stays reserved for a violated claim, and no suite or analysis
+    runs: a NaN time limit would run with no guard at all, and the others
+    would only fail later as a guard trip."""
     assert main(argv) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == "" and "error: " in captured.err
+    assert captured.err.startswith("usage: ghwkit")  # refused by argparse, not a guard
 
 
 def test_help_exits_zero(capsys):

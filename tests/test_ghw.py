@@ -191,6 +191,13 @@ def test_wall_time_guard():
         weight_hierarchy(code, time_limit=0.0)
 
 
+@pytest.mark.parametrize("run", [weight_hierarchy, certify_optimal])
+def test_nan_time_limit_is_refused(run):
+    # No clock time is past a NaN deadline, so it would disable the guard.
+    with pytest.raises(ValueError, match="nan"):
+        run(random_code(2, 16, 8, seed=5), time_limit=float("nan"))
+
+
 def test_wall_time_guard_on_the_packed_route():
     code = random_code(2, 22, 11, seed=1)
     start = time.monotonic()
@@ -409,6 +416,61 @@ def test_weight_hierarchy_sweeps_the_side_with_fewer_rows(monkeypatch, n, k, sid
     swept = _spy_sweeps(monkeypatch)
     assert weight_hierarchy(code).values == expected
     assert swept == [getattr(code, side)]
+
+
+def test_certification_sweeps_a_tie_on_the_generator(monkeypatch):
+    """certify_optimal knows the dual distance from the locality search, so a
+    tie (k = n - k) sweeps G from past it; weight_hierarchy still sweeps H."""
+    code = random_code(2, 10, 5, seed=3)
+    expected = weight_hierarchy(code).values
+    swept = _spy_sweeps(monkeypatch)
+    assert certify_optimal(code).primal_hierarchy == expected
+    assert swept == [code.generator]
+
+
+def _spy_generator_sizes(monkeypatch, code: LinearCode) -> list[int]:
+    """Record the size of every sweep-mode `_subset_dfs` call on G's columns."""
+    generator, _ = ghw_module._columns(code.generator.columns(), code.field)
+    assert generator != ghw_module._columns(code.check.columns(), code.field)[0]
+    sizes: list[int] = []
+    original = ghw_module._subset_dfs
+
+    def spy(cols, s, *args, uncovered=None, **kwargs):
+        if uncovered is None and cols == generator:
+            sizes.append(s)
+        return original(cols, s, *args, uncovered=uncovered, **kwargs)
+
+    monkeypatch.setattr(ghw_module, "_subset_dfs", spy)
+    return sizes
+
+
+def _dual_of_a_code_holding_e1() -> LinearCode:
+    base = random_code(3, 10, 5, seed=2)
+    code = LinearCode(base.field, [*base.generator.rows, [1] + [0] * 9]).dual()
+    assert code.zero_coordinates == (0,)  # its dual distance is 1
+    return code
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random_code(2, 16, 5, seed=1),
+    lambda: random_code(9, 11, 5, seed=1),
+    lambda: random_code(13, 10, 5, seed=1),
+    _dual_of_a_code_holding_e1,
+], ids=["gf2-16-5", "gf9-11-5", "gf13-10-5-tie", "gf3-zero-coordinate"])
+def test_certification_sweeps_no_generator_size_up_to_the_dual_distance(monkeypatch, make):
+    """The sizes up to the dual distance d are settled by the locality search:
+    certify_optimal's first sweep-mode call on G is at size d + 1, where
+    weight_hierarchy, which does not know d, starts at size 1."""
+    code = make()
+    d = dual_hierarchy_values(code)[0]
+    sizes = _spy_generator_sizes(monkeypatch, code)
+    report = certify_optimal(code, with_witnesses=True)
+    assert report.dual_hierarchy[0] == d
+    assert sizes and min(sizes) == d + 1
+    if code.k < code.n - code.k:
+        sizes.clear()
+        weight_hierarchy(code)
+        assert min(sizes) == 1
 
 
 def test_low_rate_certification_sweeps_the_generator():
