@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .code import LinearCode, SubcodeWitness
-from .ghw import DEFAULT_LIMIT_N, _deadline, _gaps, _guard, _wei_complement, weight_hierarchy
+from .ghw import DEFAULT_LIMIT_N, _gaps, _guard, _wei_complement, weight_hierarchy
 from .locality import LocalityProfile, locality
 
 CLAIM_IDS = (
@@ -402,8 +402,7 @@ def certify_optimal(code: LinearCode, *, promised_r: int | None = None,
     n, k, q = code.n, code.k, code.field.q
     if promised_r is not None and not 1 <= promised_r <= k:
         raise ValueError(f"promised locality r={promised_r} outside 1..k={k}")
-    _guard(code, limit_n)
-    deadline = _deadline(time_limit)
+    deadline = _guard(code, limit_n, time_limit)
     t0 = time.perf_counter()
     if profile is None:
         profile = locality(code, _deadline=deadline)

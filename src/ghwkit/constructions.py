@@ -22,7 +22,7 @@ produce bit-identical codes on every platform.
 
 from __future__ import annotations
 
-from .algebra import MAX_FIELD_SIZE, Field, Matrix, _prime_factors
+from .algebra import MAX_FIELD_SIZE, Field, _prime_factors
 from .code import LinearCode
 
 _MASK64 = (1 << 64) - 1
@@ -144,8 +144,8 @@ def random_code(q: int, n: int, k: int, seed: int = 0) -> LinearCode:
             while all(entries[i][j] == 0 for i in range(k)):
                 for i in range(k):
                     entries[i][j] = rng.below(q)
-        mat = Matrix(field, entries)
-        if mat.rank() == k:
-            return LinearCode(field, mat)
+        code = LinearCode(field, entries)  # no zero column, so never refused
+        if code.k == k:
+            return code
     raise RuntimeError(f"could not draw a full-rank generator for "
                        f"(q={q}, n={n}, k={k}, seed={seed})")  # pragma: no cover

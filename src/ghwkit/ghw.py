@@ -33,9 +33,14 @@ field keeps element lists and reduces them with `reduce_against`.  Both
 visit the same nodes.  In sweep mode it returns the first subset of size s
 whose excess reaches need.  In covers mode, for the cover search of
 `ghwkit.locality`, it walks every independent subset of size s once and
-settles each open column with the first one whose span holds it; a node
-count shared across its calls tells that search when to walk the dual code
-instead.
+settles each open column with the first one whose span holds it.
+
+Each search, one per matrix and phase, keeps its state on a `_Search`: the
+columns in the DFS's representation, the nodes its calls have visited, a
+node limit (past it the cover search walks the dual code instead) and the
+deadline.  It is the one place that reads the clock and words the guard
+error, "wall-time guard exceeded during <phase> (<progress>)"; its caller
+only keeps the progress text current.
 
 ``ghw_oracle`` recomputes d_i from the definition, enumerating every
 i-dimensional subcode once, and exists only to validate the sweep.
@@ -54,7 +59,6 @@ from .code import DEFAULT_LIMIT_N, LinearCode, SubcodeWitness
 
 DEFAULT_ORACLE_LIMIT = 10**6
 _ORACLE_SUBSPACE_CAP = 2 * 10**6
-_WALL_TIME = "wall-time guard exceeded during hierarchy sweep"
 
 
 class LimitError(RuntimeError):
@@ -66,33 +70,45 @@ class LimitError(RuntimeError):
 
 
 class _OverBudget(Exception):
-    """A DFS call took its shared node count past the count's limit."""
+    """A search's node count went past the search's node limit."""
 
 
-@dataclass
-class _Nodes:
-    """DFS nodes visited over the calls sharing it; raise past `limit`."""
+class _Search:
+    """One search over the columns of a matrix, for one phase, across every
+    `_subset_dfs` call it makes: the columns as the DFS walks them (packed
+    into ints over GF(2), element lists otherwise), the nodes visited, the
+    node limit past which it raises `_OverBudget`, and the deadline past
+    which it raises `LimitError` naming the phase and the progress text,
+    which its caller keeps current."""
 
-    limit: float = math.inf
-    visited: int = 0
+    def __init__(self, matrix: Matrix, phase: str, deadline: float | None,
+                 limit: float = math.inf):
+        self.field, self.packed = matrix.field, matrix.field.q == 2
+        self.cols = matrix.columns()
+        if self.packed:
+            self.cols = [sum(bit << i for i, bit in enumerate(col)) for col in self.cols]
+        self.visited, self.limit, self.deadline = 0, limit, deadline
+        self.phase, self.progress = phase, ""
+
+    def clock(self) -> None:
+        """Raise `LimitError` once the deadline has passed."""
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise LimitError(f"wall-time guard exceeded during {self.phase} ({self.progress})")
+
+    def alarm(self, ticks: int) -> float:
+        """Raise past the node limit or the deadline; else the count to look again at."""
+        if ticks > self.limit:
+            raise _OverBudget
+        self.clock()
+        return min(self.limit, ticks + 1024)
 
 
-def _alarm(ticks: int, limit: float, deadline: float | None) -> float:
-    """Raise past `limit` nodes or the deadline; else the count to look again at."""
-    if ticks > limit:
-        raise _OverBudget
-    if deadline is not None and time.monotonic() > deadline:
-        raise LimitError(_WALL_TIME)
-    return min(limit, ticks + 1024)
+def _subset_dfs(search: _Search, s: int, need: int, uncovered: dict | None = None):
+    """Walk the size-s subsets S of `search`'s columns in lex order, reducing
+    each candidate column against a pivot basis of the chosen ones.
 
-
-def _subset_dfs(cols, s, need, deadline, fld=None, nodes=None, uncovered=None):
-    """Walk the size-s column subsets S in lex order, reducing each candidate
-    column against a pivot basis of the chosen ones: packed ints over GF(2)
-    (`fld` None), element lists over `fld` otherwise.
-
-    Sweep mode (`uncovered` None): the first S with |S| - rank(S) >= need,
-    as (excess, S); (need - 1, None) when there is none.
+    Sweep mode (`uncovered` None): the first S with |S| - rank(S) >= need;
+    None when there is none.
 
     Covers mode, with need 0: `uncovered` maps each open column i to the
     column, and none of them lies in the span of fewer than s other columns.
@@ -103,17 +119,16 @@ def _subset_dfs(cols, s, need, deadline, fld=None, nodes=None, uncovered=None):
     without i whose span holds column i.  Settled columns leave `uncovered`,
     and the walk stops once it is empty; returns {i: S}.
 
-    Each DFS call counts one node on `nodes`.
+    Each DFS call counts one node on `search`.
     """
+    cols, fld, packed = search.cols, search.field, search.packed
     n, max_rank = len(cols), s - need  # need is reached exactly up to this rank
-    packed, covers = fld is None, uncovered is not None
-    nodes = nodes or _Nodes()
-    ticks, limit = nodes.visited, nodes.limit
-    alarm = _alarm(ticks, limit, deadline)
-    found, chosen, settled = [], [], {}
+    covers = uncovered is not None
+    ticks = search.visited
+    alarm = search.alarm(ticks)
+    chosen, settled = [], {}
     basis: list = []  # (pivot, reduced column), each 0 at the pivots before it
-    if not packed:
-        mul, inv = fld.mul, fld.inv
+    mul, inv = fld.mul, fld.inv
 
     def key(col):
         # The key of `col` reduced against `basis`; None when it is in the span.
@@ -133,7 +148,7 @@ def _subset_dfs(cols, s, need, deadline, fld=None, nodes=None, uncovered=None):
         nonlocal ticks, alarm
         ticks += 1
         if ticks > alarm:
-            alarm = _alarm(ticks, limit, deadline)
+            alarm = search.alarm(ticks)
         if covers and remaining == 1:
             keys: dict = {}
             for i, col in uncovered.items():
@@ -165,11 +180,9 @@ def _subset_dfs(cols, s, need, deadline, fld=None, nodes=None, uncovered=None):
                     continue
             elif rank == max_rank:
                 continue
-            if remaining == 1:
-                chosen.append(j)
-                found.append(s - rank - (v != 0))
-                return True
             chosen.append(j)
+            if remaining == 1:  # every leaf left reaches need: rank stays <= max_rank
+                return True
             if not v:
                 if extend(j + 1, remaining - 1):
                     return True
@@ -188,32 +201,10 @@ def _subset_dfs(cols, s, need, deadline, fld=None, nodes=None, uncovered=None):
         return False
 
     hit = max_rank >= 0 and extend(0, s)
-    nodes.visited = ticks
+    search.visited = ticks
     if covers:
         return settled
-    return (found[0], tuple(chosen)) if hit else (need - 1, None)
-
-
-def _columns(cols, fld):
-    """The columns as `_subset_dfs` takes them, and its `fld`: packed into
-    ints with no field over GF(2), element lists with `fld` otherwise."""
-    if fld.q == 2:
-        return [sum(bit << i for i, bit in enumerate(col)) for col in cols], None
-    return cols, fld
-
-
-def _size_search(check: Matrix, side: str = "check"):
-    """(s, need, deadline) -> the sweep's answer on the columns of `check`.
-    A guard error names the side of the duality and the size it stopped at."""
-    cols, fld = _columns(check.columns(), check.field)
-
-    def search(s, need, deadline):
-        try:
-            return _subset_dfs(cols, s, need, deadline, fld)
-        except LimitError as exc:
-            raise LimitError(f"{exc} ({side} side, size {s} of {check.ncols})") from None
-
-    return search
+    return tuple(chosen) if hit else None
 
 
 def _sweep_hierarchy(check: Matrix, dims: int, *, side: str, deadline: float | None,
@@ -222,13 +213,14 @@ def _sweep_hierarchy(check: Matrix, dims: int, *, side: str, deadline: float | N
     the first subset that reaches it.  A caller that knows d_1 already (the
     minimum distance of that code) passes it as `d1`: the sweep records it
     with no subset and starts at size d1 + 1 with need 2, as e(d1) = 1."""
-    search = _size_search(check, side)
+    search = _Search(check, "hierarchy sweep", deadline)
     # d_i -> the first subset reaching it
     subsets: dict[int, tuple[int, ...] | None] = {} if d1 is None else {d1: None}
     for s in range(1 if d1 is None else d1 + 1, check.ncols + 1):
         if len(subsets) == dims:
             break
-        _, subset = search(s, len(subsets) + 1, deadline)
+        search.progress = f"{side} side, size {s} of {check.ncols}"
+        subset = _subset_dfs(search, s, len(subsets) + 1)
         if subset is not None:
             subsets[s] = subset
     if len(subsets) < dims:  # pragma: no cover - rank(check) = n - dims guarantees completion
@@ -252,12 +244,11 @@ def _witness_from_subset(code: LinearCode, subset: tuple[int, ...]) -> SubcodeWi
     return SubcodeWitness(basis=basis, dimension=len(basis), support=tuple(subset))
 
 
-def _guard(code: LinearCode, limit_n: int) -> None:
+def _guard(code: LinearCode, limit_n: int, time_limit: float | None) -> float | None:
+    """Refuse a code longer than `limit_n`; else the clock time `time_limit`
+    seconds from now, the deadline of every search for the code (None: no limit)."""
     if code.n > limit_n:
         raise LimitError(f"code length {code.n} exceeds enumeration limit {limit_n}")
-
-
-def _deadline(time_limit: float | None) -> float | None:
     if time_limit is None:
         return None
     if math.isnan(time_limit):  # no clock time is ever past a NaN deadline
@@ -295,8 +286,11 @@ def _hierarchy(code: LinearCode, dims: int, witnessed, deadline: float | None,
     dual, _ = _sweep_hierarchy(code.generator, n - k, side="generator", deadline=deadline,
                                d1=dual_distance)
     values = _wei_complement(n, dual)[:dims]
-    search = _size_search(code.check)
-    return values, {i: search(values[i - 1], i, deadline)[1] for i in witnessed}
+    search, subsets = _Search(code.check, "hierarchy sweep", deadline), {}
+    for i in witnessed:
+        search.progress = f"check side, size {values[i - 1]} of {n}"
+        subsets[i] = _subset_dfs(search, values[i - 1], i)
+    return values, subsets
 
 
 def ghw(code: LinearCode, i: int, *, with_witness: bool = True,
@@ -305,8 +299,8 @@ def ghw(code: LinearCode, i: int, *, with_witness: bool = True,
     (optionally) a witness subcode on the first subset of H reaching it."""
     if not 1 <= i <= code.k:
         raise ValueError(f"index i={i} outside 1..k={code.k}")
-    _guard(code, limit_n)
-    values, subsets = _hierarchy(code, i, [i] if with_witness else [], _deadline(time_limit))
+    values, subsets = _hierarchy(code, i, [i] if with_witness else [],
+                                 _guard(code, limit_n, time_limit))
     return values[-1], _witness_from_subset(code, subsets[i]) if with_witness else None
 
 
@@ -320,9 +314,8 @@ def weight_hierarchy(code: LinearCode, *, with_witnesses: bool = False,
     one search on H per d_i.  `_dual_distance`, the minimum distance of the
     dual code when the caller has it, lets the G sweep skip the sizes up to
     it, and a tie (k = n - k) then sweeps G."""
-    _guard(code, limit_n)
     values, subsets = _hierarchy(code, code.k, range(1, code.k + 1) if with_witnesses else [],
-                                 _deadline(time_limit), _dual_distance)
+                                 _guard(code, limit_n, time_limit), _dual_distance)
     witnesses = ({i: _witness_from_subset(code, subset) for i, subset in subsets.items()}
                  if with_witnesses else None)
     return WeightHierarchy(code=code, values=tuple(values), gaps=_gaps(code.n, values),
@@ -355,9 +348,8 @@ def primal_hierarchy_values(code: LinearCode, *, limit_n: int = DEFAULT_LIMIT_N,
 
     The cross-checks pin this side and `dual_hierarchy_values` the other,
     so they never compare a sweep with itself."""
-    _guard(code, limit_n)
     values, _ = _sweep_hierarchy(code.check, code.k, side="check",
-                                 deadline=_deadline(time_limit))
+                                 deadline=_guard(code, limit_n, time_limit))
     return tuple(values)
 
 
@@ -367,9 +359,8 @@ def dual_hierarchy_values(code: LinearCode, *, limit_n: int = DEFAULT_LIMIT_N,
     empty for a full-space code (k = n)."""
     if code.k == code.n:
         return ()
-    _guard(code, limit_n)
     values, _ = _sweep_hierarchy(code.generator, code.n - code.k, side="generator",
-                                 deadline=_deadline(time_limit))
+                                 deadline=_guard(code, limit_n, time_limit))
     return tuple(values)
 
 

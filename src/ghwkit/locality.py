@@ -19,12 +19,10 @@ the search walks them instead; both routes give the same supports.
 
 from __future__ import annotations
 
-import math
-import time
 from dataclasses import dataclass
 
 from .code import CodeValidationError, LinearCode
-from .ghw import LimitError, _columns, _Nodes, _OverBudget, _subset_dfs
+from .ghw import _OverBudget, _Search, _subset_dfs
 
 
 # One cover-pass node costs about as much as walking 2-10 dual codewords: in
@@ -32,7 +30,6 @@ from .ghw import LimitError, _columns, _Nodes, _OverBudget, _subset_dfs
 # 28-45 us on element lists over GF(3..16), and a walked word 4-9 us, on codes
 # like the benchmark's.  Changing the value would change which codes walk.
 _WORDS_PER_NODE = 4
-_WALL_TIME = "wall-time guard exceeded during locality search"
 
 
 class UncoverableCoordinateError(CodeValidationError):
@@ -65,14 +62,15 @@ def _uncoverable(code: LinearCode) -> list[int]:
     return [j for j in range(code.n) if not any(row[j] for row in code.check.rows)]
 
 
-def _dual_supports(code: LinearCode, cap: int,
-                   deadline: float | None) -> list[tuple[int, ...] | None]:
+def _dual_supports(code: LinearCode, cap: int, search: _Search) -> list[tuple[int, ...] | None]:
     """The same supports as the DFS, for every coordinate, by walking all
     q^(n-k) dual codewords: each is a word of the span of the first half of
     H's rows plus one of the span of the other half, so memory stays near
     2 q^((n-k)/2) words.  They agree because the minimum-weight dual words
     covering j have exactly the supports T + {j} of the smallest covers T,
-    and adding j to two equal-size sets keeps their lexicographic order."""
+    and adding j to two equal-size sets keeps their lexicographic order.
+    The walk runs under the deadline of `search`."""
+    search.progress = "dual-word walk"
     fld = code.field
     add, mul = fld.add, fld.mul
     rows = code.check.rows
@@ -85,8 +83,7 @@ def _dual_supports(code: LinearCode, cap: int,
         halves.append(span)
     best: list[tuple[int, ...] | None] = [None] * code.n
     for low in halves[0]:
-        if deadline is not None and time.monotonic() > deadline:
-            raise LimitError(f"{_WALL_TIME} (dual-word walk)")
+        search.clock()
         for high in halves[1]:
             supp = tuple(j for j, e in enumerate(map(add, low, high)) if e)
             if not supp or len(supp) > cap + 1:
@@ -110,26 +107,23 @@ def _cover_search(code: LinearCode, cap: int, deadline: float | None = None,
     q^(n-k) / _WORDS_PER_NODE nodes, they have cost about as much as walking
     every dual codeword, and `_dual_supports` answers every coordinate.
     """
-    n, columns = code.n, code.generator.columns()
-    cols, fld = _columns(columns, code.field)
+    n = code.n
+    search = _Search(code.generator, "locality search", deadline,
+                     limit=code.field.q ** (n - code.k) // _WORDS_PER_NODE)
     uncoverable = set(_uncoverable(code))
-    supports = [None if any(col) else (j,) for j, col in enumerate(columns)]
-    uncovered = {j: cols[j] for j, s in enumerate(supports)
+    supports = [(j,) if j in code.zero_coordinates else None for j in range(n)]
+    uncovered = {j: search.cols[j] for j, s in enumerate(supports)
                  if s is None and j not in uncoverable and only in (None, j)}
-    words, per_node = code.field.q ** (n - code.k), _WORDS_PER_NODE
-    nodes = _Nodes(words // per_node if per_node else math.inf)
     size = 0
     try:
         while uncovered and size < cap:
             size += 1
-            for j, cover in _subset_dfs(cols, size, 0, deadline, fld, nodes, uncovered).items():
+            search.progress = (f"cover pass, size {size} of {cap}, "
+                               f"{n - supports.count(None)} of {n} coordinates settled")
+            for j, cover in _subset_dfs(search, size, 0, uncovered).items():
                 supports[j] = tuple(sorted((j, *cover)))
     except _OverBudget:
-        return _dual_supports(code, cap, deadline)
-    except LimitError:
-        settled = n - supports.count(None)
-        raise LimitError(f"{_WALL_TIME} (cover pass, size {size} of {cap}, "
-                         f"{settled} of {n} coordinates settled)") from None
+        return _dual_supports(code, cap, search)
     return supports
 
 
@@ -171,7 +165,7 @@ def coordinate_locality(code: LinearCode, j: int) -> int:
 
 def locality(code: LinearCode, *, _deadline: float | None = None) -> LocalityProfile:
     """Exact locality profile; r is the maximum per-coordinate locality.
-    The search raises `LimitError` once `time.monotonic()` passes `_deadline`."""
+    The search raises `LimitError` once the monotonic clock passes `_deadline`."""
     _guard(code, covered=True)
     # Every coordinate has a cover of size at most k: the other columns span.
     supports = _cover_search(code, code.k, _deadline)

@@ -18,7 +18,7 @@ from ghwkit.cli import (
     parse_code_file,
     serialize_code,
 )
-from ghwkit.constructions import tamo_barg
+from ghwkit.constructions import reed_solomon, tamo_barg
 
 PAIR_CODE_TEXT = "q 2\nn 4\nk 2\n1 1 0 0\n0 0 1 1\n"
 GOLDEN_CODE = Path(__file__).resolve().parent / "golden" / "gf2_14_6.code"
@@ -163,6 +163,17 @@ class TestAnalyze:
         rc = main(["analyze", str(path), "--limit-n", "4"])
         assert rc == EXIT_USAGE
         assert "exceeds enumeration limit" in capsys.readouterr().err
+
+    def test_time_limit_trips_the_guard(self, tmp_path, capsys):
+        path = tmp_path / "rs.code"
+        path.write_text(serialize_code(reed_solomon(32, 24, 12)))  # 32^12 dual words
+        start = time.monotonic()
+        rc = main(["analyze", str(path), "--time-limit", "0.05"])
+        assert time.monotonic() - start < 1
+        assert rc == EXIT_USAGE
+        assert re.fullmatch(r"error: wall-time guard exceeded during locality search "
+                            r"\(cover pass, size \d+ of 12, \d+ of 24 coordinates settled\)\n",
+                            capsys.readouterr().err)
 
     def test_missing_file(self, capsys):
         assert main(["analyze", "/nonexistent/path.code"]) == EXIT_USAGE
@@ -409,15 +420,16 @@ def test_text_output_breaks_the_time_down(tmp_path, capsys, lrc_12_6_3):
                         r"hierarchy [\d.]+ ms\)", last)
 
 
-def test_certify_optimal_looks_locality_up_on_its_module(monkeypatch, lrc_12_6_3):
-    """Wrappers installed on `ghwkit.bounds.locality` (as the benchmark's
-    spans do) see the locality search of every analysis."""
+@pytest.mark.parametrize("name", ["locality", "weight_hierarchy"])
+def test_certify_optimal_looks_locality_up_on_its_module(monkeypatch, lrc_12_6_3, name):
+    """Wrappers installed on `ghwkit.bounds.locality` and
+    `ghwkit.bounds.weight_hierarchy` (as the benchmark's spans do) see the
+    locality search and the hierarchy sweep of every analysis, once each."""
     from ghwkit import bounds
 
     calls = []
-    real = bounds.locality
-    monkeypatch.setattr(bounds, "locality",
-                        lambda code, **kw: calls.append(code) or real(code, **kw))
+    real = getattr(bounds, name)
+    monkeypatch.setattr(bounds, name, lambda code, **kw: calls.append(code) or real(code, **kw))
     analysis_report(lrc_12_6_3)
     assert calls == [lrc_12_6_3]
 

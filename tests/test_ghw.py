@@ -1,3 +1,4 @@
+import math
 import sys
 import time
 from itertools import combinations
@@ -225,10 +226,10 @@ def test_packed_kernel_matches_generic_search(data):
     n = data.draw(st.integers(1, 14), label="n")
     cols = _binary_columns(data, n)
     check = Matrix(GF2, [list(row) for row in zip(*cols)], ncols=n)
-    search = ghw_module._size_search(check)
+    lists, packed = _searches(check)
     for s in range(1, n + 1):
         for need in range(1, s + 2):
-            assert search(s, need, None) == ghw_module._subset_dfs(cols, s, need, None, GF2)
+            assert ghw_module._subset_dfs(packed, s, need) == ghw_module._subset_dfs(lists, s, need)
 
 
 @settings(max_examples=40, deadline=None)
@@ -246,12 +247,12 @@ def test_binary_ghw_witnesses_match_generic_search(data):
         code = LinearCode(GF2, [[(r >> j) & 1 for j in range(n)] for r in rows])
     except CodeValidationError:
         assume(False)
-    cols = code.check.columns()
+    lists = _searches(code.check)[0]
     for i in range(1, code.k + 1):
         d_i, witness = ghw(code, i)
         for s in range(i, n + 1):
-            best, subset = ghw_module._subset_dfs(cols, s, i, None, GF2)
-            if best >= i:
+            subset = ghw_module._subset_dfs(lists, s, i)
+            if subset is not None:
                 break
         assert (d_i, witness.support) == (s, subset)
         if 2**code.k <= 64:
@@ -268,17 +269,14 @@ def _field_columns(data, fld: Field, n: int) -> list[tuple[int, ...]]:
                      label="columns")
 
 
-def _pack(col) -> int:
-    return sum(bit << i for i, bit in enumerate(col))
-
-
-def _representations(cols, fld):
-    """(columns, fld) for each column representation `_subset_dfs` takes:
-    element lists, and packed ints over GF(2)."""
-    reps = [(cols, fld)]
-    if fld.q == 2:
-        reps.append(([_pack(col) for col in cols], None))
-    return reps
+def _searches(check: Matrix, limit: float = math.inf) -> list:
+    """A new `_Search` over the columns of `check` for each representation
+    `_subset_dfs` walks: element lists, and packed ints over GF(2)."""
+    lists = ghw_module._Search(check, "test", None, limit)
+    lists.packed, lists.cols = False, check.columns()
+    if check.field.q != 2:
+        return [lists]
+    return [lists, ghw_module._Search(check, "test", None, limit)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -292,17 +290,15 @@ def test_kernels_return_the_first_subset_reaching_need(data):
     n = data.draw(st.integers(1, 9), label="n")
     cols = _field_columns(data, fld, n)
     check = Matrix(fld, [list(row) for row in zip(*cols)], ncols=n)
-    reps = _representations(cols, fld)
-    shared = [ghw_module._Nodes() for _ in reps]
+    shared = _searches(check)
     for s in range(1, n + 1):
         for need in range(s + 2):
-            expected = first_excess_oracle(check, s, need)
+            expected = first_excess_oracle(check, s, need)[1]
             counts = []
-            for (columns, kind), total in zip(reps, shared):
-                for nodes in (ghw_module._Nodes(), total):
-                    assert ghw_module._subset_dfs(columns, s, need, None, kind,
-                                                  nodes) == expected
-                counts.append(nodes.visited)
+            for fresh, total in zip(_searches(check), shared):
+                for search in (fresh, total):
+                    assert ghw_module._subset_dfs(search, s, need) == expected
+                counts.append((fresh.visited, total.visited))
             assert len(set(counts)) == 1
     assert len({total.visited for total in shared}) == 1
 
@@ -321,21 +317,19 @@ def test_covers_mode_settles_each_open_column_with_its_first_cover(data):
     cols = _field_columns(data, fld, n)
     check = Matrix(fld, [list(row) for row in zip(*cols)], ncols=n)
     first = {(s, j): first_cover_oracle(check, s, j) for s in range(n + 1) for j in range(n)}
-    reps = _representations(cols, fld)
-    shared = [ghw_module._Nodes() for _ in reps]
+    shared = _searches(check)
     for s in range(1, n + 1):
         eligible = [j for j in range(n) if all(first[t, j] is None for t in range(s))]
         for size in range(1, len(eligible) + 1):
             for open_set in combinations(eligible, size):
                 expected = {j: first[s, j] for j in open_set if first[s, j] is not None}
                 counts = []
-                for (columns, kind), total in zip(reps, shared):
-                    for nodes in (ghw_module._Nodes(), total):
-                        uncovered = {j: columns[j] for j in open_set}
-                        assert ghw_module._subset_dfs(columns, s, 0, None, kind, nodes,
-                                                      uncovered) == expected
+                for fresh, total in zip(_searches(check), shared):
+                    for search in (fresh, total):
+                        uncovered = {j: search.cols[j] for j in open_set}
+                        assert ghw_module._subset_dfs(search, s, 0, uncovered) == expected
                         assert set(uncovered) == set(open_set) - set(expected)
-                    counts.append(nodes.visited)
+                    counts.append((fresh.visited, total.visited))
                 assert len(set(counts)) == 1
     assert len({total.visited for total in shared}) == 1
 
@@ -346,22 +340,20 @@ def test_kernels_raise_once_the_shared_count_passes_its_limit(kernel):
     `limit` raise `_OverBudget`; passes that stay within it answer as with no
     limit."""
     code = random_code(2, 12, 5, seed=2)
-    cols = code.generator.columns()
-    columns, fld = (cols, GF2) if kernel == "generic" else ([_pack(c) for c in cols], None)
 
-    def ask(nodes):
-        uncovered, settled = dict(enumerate(columns)), {}
+    def ask(limit):
+        search = _searches(code.generator, limit)[["generic", "packed"].index(kernel)]
+        uncovered, settled = dict(enumerate(search.cols)), {}
         for s in range(1, code.k + 1):
-            settled.update(ghw_module._subset_dfs(columns, s, 0, None, fld, nodes, uncovered))
-        return settled
+            settled.update(ghw_module._subset_dfs(search, s, 0, uncovered))
+        return search, settled
 
-    free = ghw_module._Nodes()
-    answer = ask(free)
+    free, answer = ask(math.inf)
     assert free.visited > 1 and len(answer) == code.n
-    exact = ghw_module._Nodes(limit=free.visited)
-    assert ask(exact) == answer and exact.visited == free.visited
+    exact, exact_answer = ask(free.visited)
+    assert exact_answer == answer and exact.visited == free.visited
     with pytest.raises(ghw_module._OverBudget):
-        ask(ghw_module._Nodes(limit=free.visited - 1))
+        ask(free.visited - 1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -430,15 +422,15 @@ def test_certification_sweeps_a_tie_on_the_generator(monkeypatch):
 
 def _spy_generator_sizes(monkeypatch, code: LinearCode) -> list[int]:
     """Record the size of every sweep-mode `_subset_dfs` call on G's columns."""
-    generator, _ = ghw_module._columns(code.generator.columns(), code.field)
-    assert generator != ghw_module._columns(code.check.columns(), code.field)[0]
+    generator = ghw_module._Search(code.generator, "test", None).cols
+    assert generator != ghw_module._Search(code.check, "test", None).cols
     sizes: list[int] = []
     original = ghw_module._subset_dfs
 
-    def spy(cols, s, *args, uncovered=None, **kwargs):
-        if uncovered is None and cols == generator:
+    def spy(search, s, need, uncovered=None):
+        if uncovered is None and search.cols == generator:
             sizes.append(s)
-        return original(cols, s, *args, uncovered=uncovered, **kwargs)
+        return original(search, s, need, uncovered)
 
     monkeypatch.setattr(ghw_module, "_subset_dfs", spy)
     return sizes
@@ -497,3 +489,11 @@ def test_wall_time_guard_names_the_check_side():
     code = random_code(2, 22, 11, seed=1)
     with pytest.raises(LimitError, match=r"\(check side, size \d+ of 22\)"):
         weight_hierarchy(code, time_limit=0.05)
+
+
+def test_wall_time_guard_names_the_witness_search():
+    # Its G sweep takes about 1 ms; the witness search on H at d_1 = 15, far
+    # more than 0.05 s.
+    code = random_code(2, 24, 2, seed=1)
+    with pytest.raises(LimitError, match=r"hierarchy sweep \(check side, size 15 of 24\)$"):
+        weight_hierarchy(code, with_witnesses=True, time_limit=0.05)

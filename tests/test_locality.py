@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from ghwkit.algebra import Matrix
 from ghwkit.code import CodeValidationError, LinearCode
 from ghwkit.constructions import field_for_order, random_code, reed_solomon
-from ghwkit.ghw import LimitError, _subset_dfs
+from ghwkit.ghw import LimitError, _Search, _subset_dfs
 from ghwkit.locality import (
     UncoverableCoordinateError,
     _WORDS_PER_NODE,
@@ -168,9 +168,10 @@ def test_enum_and_subset_paths_agree(data):
     """The cover search matches dual-word enumeration: per-coordinate
     localities, covering rows, `is_lrc` and the uncoverable coordinates, also
     over GF(4) and on duals that miss a coordinate (zero_coordinates).  The
-    search runs as the DFS alone (0), as the walk over the dual alone
-    (2^62), and with the default switch between them."""
-    words_per_node = data.draw(st.sampled_from([0, 1 << 62, _WORDS_PER_NODE]))
+    search runs as the DFS alone (1e-300, a node limit no pass reaches), as
+    the walk over the dual alone (2^62), and with the default switch between
+    them."""
+    words_per_node = data.draw(st.sampled_from([1e-300, 1 << 62, _WORDS_PER_NODE]))
     with mock.patch("ghwkit.locality._WORDS_PER_NODE", words_per_node):
         _check_against_dual_enum(data)
 
@@ -233,9 +234,9 @@ def test_locality_walks_the_representation_of_its_field(monkeypatch, q, packed):
     GF(2), on element lists over GF(3)."""
     routes = []
 
-    def spy(cols, s, need, deadline, fld=None, *args):
-        routes.append((fld is None, all(isinstance(col, int) for col in cols)))
-        return _subset_dfs(cols, s, need, deadline, fld, *args)
+    def spy(search, *args):
+        routes.append((search.packed, all(isinstance(col, int) for col in search.cols)))
+        return _subset_dfs(search, *args)
 
     monkeypatch.setattr(locality_module, "_subset_dfs", spy)
     code = random_code(q, 12, 6, seed=1)
@@ -251,9 +252,9 @@ def test_coordinate_locality_searches_its_coordinate_alone(monkeypatch, q, n, k)
     for j in range(n):
         seen = []
 
-        def spy(cols, s, need, deadline, fld, nodes, uncovered):
+        def spy(search, s, need, uncovered):
             seen.append(set(uncovered))
-            return _subset_dfs(cols, s, need, deadline, fld, nodes, uncovered)
+            return _subset_dfs(search, s, need, uncovered)
 
         monkeypatch.setattr(locality_module, "_subset_dfs", spy)
         assert coordinate_locality(code, j) == expected[j]
@@ -264,9 +265,9 @@ def _spy_walks(monkeypatch) -> list[int]:
     """Record the cap of every `_dual_supports` call."""
     caps: list[int] = []
 
-    def spy(code, cap, deadline):
+    def spy(code, cap, search):
         caps.append(cap)
-        return _dual_supports(code, cap, deadline)
+        return _dual_supports(code, cap, search)
 
     monkeypatch.setattr(locality_module, "_dual_supports", spy)
     return caps
@@ -307,7 +308,7 @@ def test_a_walk_after_some_passes_answers_every_coordinate(monkeypatch):
     with mock.patch("ghwkit.locality._WORDS_PER_NODE", 2):
         supports = _cover_search(code, code.k)
     assert caps == [code.k] and 0 < len(settled) < code.n
-    walked = _dual_supports(code, code.k, None)
+    walked = _dual_supports(code, code.k, _Search(code.generator, "locality search", None))
     assert supports == walked
     assert [len(s) - 1 for s in walked] == dual_enum_locality(code)[0]
 
