@@ -5,30 +5,22 @@ the residue itself.  For an extension field the base-p digits of the index
 are the coefficients of the polynomial representation, lowest degree first,
 so index 0 is the additive identity and index 1 the multiplicative identity
 in every field.  Extension fields multiply through exp/log tables built once
-at construction; prime fields use direct modular arithmetic.
+at construction, on the smallest element of order q-1; prime fields use
+direct modular arithmetic.  One square-and-multiply serves `Field.pow` and
+that generator search.
+
+All row reduction goes through `reduce_against`, which reduces one vector
+against a pivot basis: the subset search of `ghwkit.ghw` grows its bases
+with it, and `_echelon`, behind `Matrix.rref`, `rank`, `nullspace` and
+`nullspace_within`, inserts each row into a reduced-row-echelon basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 MAX_FIELD_SIZE = 1 << 16
-
-
-def is_prime(x: int) -> bool:
-    if x < 2:
-        return False
-    if x < 4:
-        return True
-    if x % 2 == 0:
-        return False
-    f = 3
-    while f * f <= x:
-        if x % f == 0:
-            return False
-        f += 2
-    return True
 
 
 def _prime_factors(x: int) -> list[int]:
@@ -43,6 +35,38 @@ def _prime_factors(x: int) -> list[int]:
     if x > 1:
         out.append(x)
     return out
+
+
+def is_prime(x: int) -> bool:
+    return x >= 2 and _prime_factors(x) == [x]
+
+
+def _base_p(x: int, p: int, m: int) -> list[int]:
+    """The m lowest base-p digits of x, lowest first."""
+    out = []
+    for _ in range(m):
+        x, d = divmod(x, p)
+        out.append(d)
+    return out
+
+
+def _power(mul: Callable[[int, int], int], a: int, e: int) -> int:
+    """a**e for e >= 0 by square-and-multiply with `mul`."""
+    r = 1
+    while e:
+        if e & 1:
+            r = mul(r, a)
+        a = mul(a, a)
+        e >>= 1
+    return r
+
+
+def _smallest_generator(q: int, mul: Callable[[int, int], int]) -> int:
+    """The smallest element of multiplicative order q-1 (1 in GF(2)): none
+    of its powers (q-1)/f, f a prime factor of q-1, is 1."""
+    factors = _prime_factors(q - 1)
+    return next((g for g in range(2, q)
+                 if all(_power(mul, g, (q - 1) // f) != 1 for f in factors)), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -78,13 +102,7 @@ def is_irreducible(coeffs: Sequence[int], p: int) -> bool:
         return False
     for deg in range(1, m // 2 + 1):
         for enc in range(p**deg):
-            div = [0] * (deg + 1)
-            e = enc
-            for i in range(deg):
-                div[i] = e % p
-                e //= p
-            div[deg] = 1
-            if not _poly_rem(poly, div, p):
+            if not _poly_rem(poly, _base_p(enc, p, deg) + [1], p):
                 return False
     return True
 
@@ -96,12 +114,7 @@ def default_modulus(p: int, m: int) -> tuple[int, ...]:
     coefficients, which makes the choice reproducible.
     """
     for enc in range(p**m):
-        cand = [0] * (m + 1)
-        e = enc
-        for i in range(m):
-            cand[i] = e % p
-            e //= p
-        cand[m] = 1
+        cand = _base_p(enc, p, m) + [1]
         if is_irreducible(cand, p):
             return tuple(cand)
     raise ValueError(f"no irreducible polynomial of degree {m} over GF({p})")
@@ -172,23 +185,11 @@ class Field:
             return pow(a, p - 2, p)
 
         self.inv = inv
-        gen = None
-        for g in range(2, p):
-            if all(pow(g, (p - 1) // f, p) != 1 for f in _prime_factors(p - 1)):
-                gen = g
-                break
-        self._generator = 1 if p == 2 else gen
+        self._generator = _smallest_generator(p, self.mul)
 
     def _init_extension(self) -> None:
         p, m, q = self.p, self.m, self.q
-        digits = []
-        for idx in range(q):
-            d, e = [0] * m, idx
-            for i in range(m):
-                d[i] = e % p
-                e //= p
-            digits.append(tuple(d))
-        self._digits = tuple(digits)
+        digits = [_base_p(idx, p, m) for idx in range(q)]
         mod = self.modulus
 
         def raw_mul(a: int, b: int) -> int:
@@ -210,24 +211,7 @@ class Field:
                 out = out * p + prod[i]
             return out
 
-        def raw_pow(a: int, e: int) -> int:
-            r = 1
-            while e:
-                if e & 1:
-                    r = raw_mul(r, a)
-                a = raw_mul(a, a)
-                e >>= 1
-            return r
-
-        gen = None
-        factors = _prime_factors(q - 1)
-        for cand in range(2, q):
-            if all(raw_pow(cand, (q - 1) // f) != 1 for f in factors):
-                gen = cand
-                break
-        if gen is None:  # pragma: no cover - irreducible modulus guarantees one
-            raise ValueError("multiplicative group has no generator; modulus invalid")
-        self._generator = gen
+        gen = self._generator = _smallest_generator(q, raw_mul)
 
         exp = [1] * (q - 1)
         for t in range(1, q - 1):
@@ -235,7 +219,6 @@ class Field:
         log = [0] * q
         for t, v in enumerate(exp):
             log[v] = t
-        self._exp, self._log = tuple(exp), tuple(log)
 
         if p == 2:
             self.add = lambda a, b: a ^ b
@@ -282,16 +265,10 @@ class Field:
         """a**e by square-and-multiply; negative e inverts first."""
         if e < 0:
             a, e = self.inv(a), -e
-        r, base, mul = 1, a, self.mul
-        while e:
-            if e & 1:
-                r = mul(r, base)
-            base = mul(base, base)
-            e >>= 1
-        return r
+        return _power(self.mul, a, e)
 
     def multiplicative_generator(self) -> int:
-        """An element of multiplicative order q-1."""
+        """The smallest element of multiplicative order q-1."""
         return self._generator
 
     def __eq__(self, other: object) -> bool:
@@ -312,9 +289,9 @@ def reduce_against(vec: list[int], basis: Sequence[tuple[int, Sequence[int]]],
                    field: Field) -> int:
     """Reduce `vec` in place against `basis`, (pivot, vector) pairs with each
     vector 0 before and 1 at its pivot and 0 at the pivots of the pairs
-    before it (sorted by pivot, or each reduced against those before it).
-    Returns the first nonzero position left, or -1 when `vec` lies in the
-    span."""
+    before it: sorted by pivot, each reduced against those before it, or a
+    full RREF (0 at every other pivot) in any order.  Returns the first
+    nonzero position left, or -1 when `vec` lies in the span."""
     sub, mul = field.sub, field.mul
     for p, b in basis:
         c = vec[p]
@@ -326,6 +303,43 @@ def reduce_against(vec: list[int], basis: Sequence[tuple[int, Sequence[int]]],
         if vec[t]:
             return t
     return -1
+
+
+def _echelon(rows: Iterable[Sequence[int]], field: Field) -> list[tuple[int, list[int]]]:
+    """The RREF of the span of `rows` as (pivot, row) pairs sorted by pivot.
+    Each row is reduced against the basis so far, scaled to 1 at its pivot
+    and cleared from the rows already in the basis; a row already in RREF
+    below them needs no field arithmetic."""
+    basis: list[tuple[int, list[int]]] = []
+    for row in rows:
+        vec = list(row)
+        p = reduce_against(vec, basis, field)
+        if p < 0:
+            continue
+        if vec[p] != 1:
+            c = field.inv(vec[p])
+            vec = [field.mul(c, e) for e in vec]
+        for _, b in basis:
+            if b[p]:
+                reduce_against(b, ((p, vec),), field)
+        basis.append((p, vec))
+    basis.sort()
+    return basis
+
+
+def _nullspace_rows(rows: Sequence[Sequence[int]], ncols: int, field: Field) -> list[list[int]]:
+    """The RREF basis of {v : M v^T = 0} for the matrix M with these rows."""
+    basis = _echelon(rows, field)
+    pivots = {p for p, _ in basis}
+    free = []
+    for f in range(ncols):
+        if f not in pivots:
+            v = [0] * ncols
+            v[f] = 1
+            for p, b in basis:
+                v[p] = field.neg(b[f])
+            free.append(v)
+    return [b for _, b in _echelon(free, field)]
 
 
 @dataclass(frozen=True)
@@ -396,67 +410,24 @@ class Matrix:
 
     def rref(self) -> RrefResult:
         """Reduced row echelon form, rank and pivot columns."""
-        field = self.field
-        mul, sub, inv = field.mul, field.sub, field.inv
-        rows = [list(r) for r in self.rows]
-        nr, nc = self.nrows, self.ncols
-        pivots: list[int] = []
-        r = 0
-        for c in range(nc):
-            pr = None
-            for i in range(r, nr):
-                if rows[i][c]:
-                    pr = i
-                    break
-            if pr is None:
-                continue
-            rows[r], rows[pr] = rows[pr], rows[r]
-            lead = rows[r][c]
-            if lead != 1:
-                s = inv(lead)
-                rows[r] = [mul(s, e) for e in rows[r]]
-            prow = rows[r]
-            for i in range(nr):
-                if i != r and rows[i][c]:
-                    f = rows[i][c]
-                    irow = rows[i]
-                    for t in range(c, nc):
-                        if prow[t]:
-                            irow[t] = sub(irow[t], mul(f, prow[t]))
-            pivots.append(c)
-            r += 1
-            if r == nr:
-                break
-        reduced = Matrix(field, [tuple(row) for row in rows[:r]], ncols=nc)
-        return RrefResult(reduced, r, tuple(pivots))
+        basis = _echelon(self.rows, self.field)
+        reduced = Matrix(self.field, [b for _, b in basis], ncols=self.ncols)
+        return RrefResult(reduced, len(basis), tuple(p for p, _ in basis))
 
     def rank(self) -> int:
-        return self.rref().rank
+        return len(_echelon(self.rows, self.field))
 
     def nullspace(self) -> "Matrix":
-        """Canonical basis of {v : M v^T = 0}, one row per free column."""
-        field = self.field
-        res = self.rref()
-        red, pivots = res.reduced, res.pivots
-        pivot_set = set(pivots)
-        free = [c for c in range(self.ncols) if c not in pivot_set]
-        basis = []
-        for f in free:
-            v = [0] * self.ncols
-            v[f] = 1
-            for t, pc in enumerate(pivots):
-                v[pc] = field.neg(red.rows[t][f])
-            basis.append(v)
-        ns = Matrix(field, basis, ncols=self.ncols)
-        return ns.rref().reduced
+        """Canonical basis of {v : M v^T = 0}: its RREF, one row per free column."""
+        return Matrix(self.field, _nullspace_rows(self.rows, self.ncols, self.field),
+                      ncols=self.ncols)
 
     def nullspace_within(self, columns: Sequence[int]) -> tuple[tuple[int, ...], ...]:
         """Canonical basis of {v : M v^T = 0} restricted to vectors supported
         inside `columns`, each row embedded at full length."""
-        sub = Matrix(self.field, [[row[c] for c in columns] for row in self.rows],
-                     ncols=len(columns))
         basis = []
-        for srow in sub.nullspace().rows:
+        for srow in _nullspace_rows([[row[c] for c in columns] for row in self.rows],
+                                    len(columns), self.field):
             full = [0] * self.ncols
             for c, e in zip(columns, srow):
                 full[c] = e

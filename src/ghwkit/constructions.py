@@ -89,7 +89,7 @@ def _lrc_monomial_exponents(k: int, r: int) -> list[int]:
 def tamo_barg(q: int, n: int, k: int, r: int) -> LinearCode:
     """Polynomial-evaluation LRC with coset repair groups of size r+1.
 
-    Requires (r+1) | n, n | q-1, (r+1) | q-1 and k <= n*r/(r+1).  Every
+    Requires (r+1) | n, n | q-1 (so (r+1) | q-1) and k <= n*r/(r+1).  Every
     coordinate has locality at most r; distance-optimality is certified
     downstream, never assumed here.
     """
@@ -102,8 +102,6 @@ def tamo_barg(q: int, n: int, k: int, r: int) -> LinearCode:
     field = field_for_order(q)
     if (q - 1) % n != 0:
         raise ValueError(f"n={n} must divide q-1={q - 1}")
-    if (q - 1) % (r + 1) != 0:
-        raise ValueError(f"r+1={r + 1} must divide q-1={q - 1}")
     if k * (r + 1) > n * r:
         raise ValueError(f"k={k} exceeds n*r/(r+1)={n * r / (r + 1):g}")
     points = _subgroup(field, n)

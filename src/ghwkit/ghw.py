@@ -286,10 +286,12 @@ def _hierarchy(code: LinearCode, dims: int, witnessed, deadline: float | None,
     dual, _ = _sweep_hierarchy(code.generator, n - k, side="generator", deadline=deadline,
                                d1=dual_distance)
     values = _wei_complement(n, dual)[:dims]
-    search, subsets = _Search(code.check, "hierarchy sweep", deadline), {}
-    for i in witnessed:
-        search.progress = f"check side, size {values[i - 1]} of {n}"
-        subsets[i] = _subset_dfs(search, values[i - 1], i)
+    subsets = {}
+    if witnessed:
+        search = _Search(code.check, "hierarchy sweep", deadline)
+        for i in witnessed:
+            search.progress = f"check side, size {values[i - 1]} of {n}"
+            subsets[i] = _subset_dfs(search, values[i - 1], i)
     return values, subsets
 
 

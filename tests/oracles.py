@@ -45,6 +45,56 @@ def is_zero(m: Matrix) -> bool:
     return not any(any(row) for row in m.rows)
 
 
+def gauss_jordan(field: Field, rows: Sequence[Sequence[int]], ncols: int):
+    """Reduced row echelon form by Gauss-Jordan elimination, column by
+    column, as (nonzero rows, pivot columns)."""
+    mul, sub, inv = field.mul, field.sub, field.inv
+    rows = [list(r) for r in rows]
+    nr = len(rows)
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pr = None
+        for i in range(r, nr):
+            if rows[i][c]:
+                pr = i
+                break
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        lead = rows[r][c]
+        if lead != 1:
+            s = inv(lead)
+            rows[r] = [mul(s, e) for e in rows[r]]
+        prow = rows[r]
+        for i in range(nr):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                irow = rows[i]
+                for t in range(c, ncols):
+                    if prow[t]:
+                        irow[t] = sub(irow[t], mul(f, prow[t]))
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    return tuple(tuple(row) for row in rows[:r]), tuple(pivots)
+
+
+def gauss_jordan_nullspace(field: Field, rows: Sequence[Sequence[int]], ncols: int):
+    """RREF basis of {v : M v^T = 0}: one vector per free column of the
+    Gauss-Jordan form of M, reduced again by Gauss-Jordan."""
+    red, pivots = gauss_jordan(field, rows, ncols)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [0] * ncols
+        v[f] = 1
+        for t, pc in enumerate(pivots):
+            v[pc] = field.neg(red[t][f])
+        basis.append(v)
+    return gauss_jordan(field, basis, ncols)[0]
+
+
 def first_excess_oracle(matrix: Matrix, s: int, need: int):
     """The first size-s column subset S, in lex order, with
     |S| - rank(columns S) >= need, as (excess, S); (need - 1, None) if none."""

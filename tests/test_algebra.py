@@ -10,8 +10,16 @@ from ghwkit.algebra import (
     is_prime,
     reduce_against,
 )
+from ghwkit.code import LinearCode
 
-from oracles import identity, is_zero, mat_mul, transpose
+from oracles import (
+    gauss_jordan,
+    gauss_jordan_nullspace,
+    identity,
+    is_zero,
+    mat_mul,
+    transpose,
+)
 
 
 def extended_euclid_inverse(a, p):
@@ -147,6 +155,18 @@ def test_field_axioms_exhaustive(f):
 LARGE_FIELDS = [Field(251), Field(2, 8), Field(5, 3), Field(2, 10)]
 
 
+@pytest.mark.parametrize("f", SMALL_FIELDS + LARGE_FIELDS, ids=lambda f: repr(f))
+def test_multiplicative_generator_is_the_smallest(f):
+    def order(g):
+        x, t = g, 1
+        while x != 1:
+            x, t = f.mul(x, g), t + 1
+        return t
+
+    smallest = next(g for g in range(1, f.q) if order(g) == f.q - 1)
+    assert f.multiplicative_generator() == smallest
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_field_axioms_randomized_large(data):
@@ -256,6 +276,81 @@ def test_matrix_properties(data):
     red = m.rref().reduced
     if red.nrows:
         assert red.rref().reduced == red  # idempotent
+
+
+ELIMINATION_FIELDS = [Field(2), Field(3), Field(2, 2), Field(3, 2), Field(13), Field(2, 4)]
+
+
+@st.composite
+def _degenerate_rows(draw):
+    """A field and rows over it, often with zero rows, repeated rows, rows
+    that combine earlier ones, and zero columns."""
+    f = draw(st.sampled_from(ELIMINATION_FIELDS))
+    ncols = draw(st.integers(1, 8))
+    zero_cols = draw(st.sets(st.integers(0, ncols - 1), max_size=3))
+    element = st.integers(0, f.q - 1)
+    rows: list[list[int]] = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["random", "zero", "repeat", "combine"])) if rows else "random"
+        if kind == "random":
+            row = draw(st.lists(element, min_size=ncols, max_size=ncols))
+        elif kind == "zero":
+            row = [0] * ncols
+        elif kind == "repeat":
+            row = list(draw(st.sampled_from(rows)))
+        else:
+            a, b = draw(element), draw(element)
+            u, v = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            row = [f.add(f.mul(a, x), f.mul(b, y)) for x, y in zip(u, v)]
+        rows.append([0 if j in zero_cols else e for j, e in enumerate(row)])
+    return f, rows, ncols
+
+
+class _CountingField:
+    """A field that counts the arithmetic done through it."""
+
+    def __init__(self, field):
+        self.field, self.q, self.calls = field, field.q, 0
+
+    def __getattr__(self, name):
+        op = getattr(self.field, name)
+
+        def counted(*args):
+            self.calls += 1
+            return op(*args)
+
+        return counted
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_elimination_matches_gauss_jordan(data):
+    """rref, rank, nullspace, nullspace_within and a code's check matrix
+    against Gauss-Jordan elimination."""
+    f, rows, ncols = data.draw(_degenerate_rows())
+    m = Matrix(f, rows, ncols=ncols)
+    red, pivots = gauss_jordan(f, rows, ncols)
+    res = m.rref()
+    assert (res.reduced.rows, res.rank, res.pivots) == (red, len(red), pivots)
+    assert m.rank() == len(red)
+    counting = _CountingField(f)  # an RREF input is re-reduced with no arithmetic
+    assert Matrix(counting, red, ncols=ncols).rref().reduced.rows == red
+    assert counting.calls == 0
+    null = gauss_jordan_nullspace(f, rows, ncols)
+    assert m.nullspace() == Matrix(f, null, ncols=ncols)
+
+    cols = sorted(data.draw(st.sets(st.integers(0, ncols - 1))))
+    expected = []
+    for srow in gauss_jordan_nullspace(f, [[row[c] for c in cols] for row in rows], len(cols)):
+        full = [0] * ncols
+        for c, e in zip(cols, srow):
+            full[c] = e
+        expected.append(tuple(full))
+    assert m.nullspace_within(cols) == tuple(expected)
+
+    if red:
+        code = LinearCode(f, rows, _allow_zero_columns=True)
+        assert (code.generator.rows, code.check.rows) == (red, null)
 
 
 def test_matrix_validation(gf2):

@@ -24,15 +24,18 @@ from ghwkit.bounds import (
     prop2_bound,
     singleton_like_bound,
 )
+from ghwkit.algebra import Field
 from ghwkit.code import LinearCode
 from ghwkit.constructions import random_code, reed_solomon, tamo_barg
 from ghwkit.ghw import (
     LimitError,
+    WeightHierarchy,
     dual_hierarchy_values,
+    ghw_oracle,
     primal_hierarchy_values,
     weight_hierarchy,
 )
-from ghwkit.locality import UncoverableCoordinateError, locality
+from ghwkit.locality import UncoverableCoordinateError, covering_rows, locality
 
 KNOWN_PRIMAL_12_6_3 = (6, 7, 8, 10, 11, 12)
 KNOWN_DUAL_12_6_3 = (4, 8, 9, 10, 11, 12)
@@ -456,3 +459,37 @@ def test_certification_agrees_with_independent_routes(data):
     assert report.dual_hierarchy == dual_hierarchy_values(code)
     assert report.dual_hierarchy[0] == min(report.locality_profile.per_coordinate) + 1
     assert report.witnesses == weight_hierarchy(code, with_witnesses=True).witnesses
+
+
+def _pair_code():
+    return LinearCode(Field(2), [[1, 1, 0, 0], [0, 0, 1, 1]])  # d_1, d_2 = 2, 4
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: covering_rows(_pair_code(), 0), ValueError, "locality parameter must be >= 1"),
+    (lambda: dual_ghw_saturation((3, 6), 2, 1), ValueError, r"i=1 outside 2\.\.2"),
+    (lambda: dual_ghw_saturation((3, 6), 2, 3), ValueError, r"i=3 outside 2\.\.2"),
+    (lambda: gap_lower_bound(0, 1), ValueError, "need r >= 1"),
+    (lambda: optimal_dual_hierarchy(5, 4, 1), ValueError, "k/r=4 exceeds n-k=1"),
+    (lambda: optimal_dual_ghw_lower(12, 6, 3, 0), ValueError, r"i=0 outside 1\.\.n-k=6"),
+    (lambda: optimal_dual_ghw_lower(12, 6, 3, 7), ValueError, r"i=7 outside 1\.\.n-k=6"),
+    (lambda: optimal_gap_upper(12, 6, 3, 7), ValueError, r"i=7 outside 1\.\.k=6"),
+    (lambda: optimal_primal_ghw_lower(12, 6, 3, 0), ValueError, r"i=0 outside 1\.\.k=6"),
+    (lambda: d_opt_surrogate(1, 5, 2), ValueError, "field size must be >= 2"),
+    (lambda: ghw_oracle(_pair_code(), 0), ValueError, r"i=0 outside 1\.\.k=2"),
+    # q^k = 2^19 passes the codeword limit; the count of 2-dimensional
+    # subcodes, about 4.6e10, is refused before any is enumerated.
+    (lambda: ghw_oracle(random_code(2, 20, 19, seed=1), 2), LimitError, "exceed the oracle cap"),
+    (lambda: WeightHierarchy(_pair_code(), (4, 2), (1, 3)), ValueError, "not strictly increasing"),
+    (lambda: WeightHierarchy(_pair_code(), (2, 4), (1, 2)), ValueError, "not the complement"),
+    (lambda: Field(2, 0), ValueError, "extension degree must be >= 1"),
+    (lambda: Field(2, 2, modulus=[1, 2, 1]), ValueError, r"must lie in \[0, p\)"),
+    (lambda: reed_solomon(7, 3, 4), ValueError, "need 1 <= k <= n"),
+], ids=["covering-rows-r0", "saturation-i1", "saturation-past-end", "gap-lower-r0",
+        "optimal-dual-k/r", "dual-lower-i0", "dual-lower-past-end", "gap-upper-past-k",
+        "primal-lower-i0", "d-opt-q1", "oracle-i0", "oracle-subspace-cap",
+        "hierarchy-not-increasing", "hierarchy-wrong-gaps", "field-degree-0",
+        "modulus-coefficient-p", "reed-solomon-k-above-n"])
+def test_refusals(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

@@ -99,7 +99,9 @@ class TestParseCodeFile:
         ("q 2\n", 2, "expected 'n <int>', found the end of the file"),
         ("q 2\nn 2\n", 3, "expected 'k <int>', found the end of the file"),
         ("# header\nq 2\nn 2  # length\n\n", 5, "expected 'k <int>', found the end"),
-    ], ids=["q", "n", "k", "rows", "rank", "zero-column", "no-n", "no-k", "no-k-blank-tail"])
+        ("q 4 modulus\nn 3\nk 1\n1 2 3\n", 1, "empty modulus"),
+    ], ids=["q", "n", "k", "rows", "rank", "zero-column", "no-n", "no-k", "no-k-blank-tail",
+            "modulus-without-coefficients"])
     def test_refusal_names_its_line(self, text, line, reason, tmp_path, capsys):
         path = tmp_path / "bad.code"
         path.write_text(text)
@@ -316,10 +318,11 @@ class TestVerify:
     ["analyze", str(GOLDEN_CODE), "--time-limit", "nan"],
     ["analyze", str(GOLDEN_CODE), "--time-limit", "-1"],
     ["analyze", str(GOLDEN_CODE), "--time-limit", "0"],
+    ["analyze", str(GOLDEN_CODE), "--time-limit", "abc"],
     ["analyze", str(GOLDEN_CODE), "--limit-n", "0"],
     ["analyze", str(GOLDEN_CODE), "--limit-n", "-5"],
 ], ids=["count-negative", "count-zero", "count-text", "bogus-command", "analyze-no-file",
-        "time-limit-nan", "time-limit-negative", "time-limit-zero",
+        "time-limit-nan", "time-limit-negative", "time-limit-zero", "time-limit-text",
         "limit-n-zero", "limit-n-negative"])
 def test_usage_errors_exit_one(argv, capsys):
     """Argparse's refusals go through the one refusal handler: exit 1, not
@@ -395,6 +398,8 @@ def test_violated_verdicts_reach_the_report(tmp_path, capsys, monkeypatch, lrc_1
     path.write_text(serialize_code(lrc_12_6_3))
     assert main(["analyze", str(path), "--json"]) == EXIT_CLAIM_VIOLATED
     assert "VIOLATED CLAIMS: thm1, thm2, thm3" in capsys.readouterr().err
+    assert main(["analyze", str(path)]) == EXIT_CLAIM_VIOLATED
+    assert "\n  thm1       violated (index 2)\n" in capsys.readouterr().out
 
 
 def test_analysis_report_key_order(lrc_12_6_3):
