@@ -369,17 +369,14 @@ class Matrix:
         self.field = field
         self.rows: tuple[tuple[int, ...], ...] = tuple(norm)
         self.nrows = len(self.rows)
-        if self.nrows:
-            widths = {len(r) for r in self.rows}
-            if len(widths) != 1:
-                raise ValueError("ragged rows")
-            self.ncols = widths.pop()
-            if ncols is not None and ncols != self.ncols:
-                raise ValueError("ncols does not match row length")
-        else:
-            if ncols is None:
-                raise ValueError("empty matrix needs an explicit ncols")
-            self.ncols = ncols
+        widths = {len(r) for r in self.rows} or {ncols}  # no rows: the width given
+        if len(widths) > 1:
+            raise ValueError("ragged rows")
+        (self.ncols,) = widths
+        if self.ncols is None:
+            raise ValueError("empty matrix needs an explicit ncols")
+        if ncols not in (None, self.ncols):
+            raise ValueError("ncols does not match row length")
 
     # -- basic views -----------------------------------------------------------
 
@@ -389,7 +386,7 @@ class Matrix:
         return tuple(r[j] for r in self.rows)
 
     def columns(self) -> list[tuple[int, ...]]:
-        return [self.column(j) for j in range(self.ncols)]
+        return list(zip(*self.rows)) if self.rows else [()] * self.ncols
 
     # -- arithmetic --------------------------------------------------------------
 

@@ -55,7 +55,9 @@ def parse_code_file(text: str) -> LinearCode:
         raise CodeFileError("file is empty: it needs header lines 'q', 'n', 'k' "
                             "and a generator")
 
-    def header(pos: int, key: str) -> tuple[int, list[str]]:
+    def header(pos: int, key: str) -> tuple[int, int, list[str]]:
+        """The line number, the value and the tokens after it of header line
+        `pos`; only the q line may carry more tokens, and n and k are >= 1."""
         if pos == len(entries):
             raise CodeFileError(f"line {len(text.splitlines()) + 1}: expected '{key} <int>', "
                                 "found the end of the file")
@@ -63,42 +65,33 @@ def parse_code_file(text: str) -> LinearCode:
         if tokens[0] != key:
             raise CodeFileError(f"line {lineno}: expected '{key} <int>', got "
                                 f"{' '.join(tokens)!r}")
-        return lineno, tokens
+        try:
+            value = int(tokens[1])
+        except (IndexError, ValueError):
+            value = None
+        if value is None or (key != "q" and len(tokens) > 2):
+            raise CodeFileError(f"line {lineno}: expected '{key} <int>'")
+        if key != "q" and value < 1:
+            raise CodeFileError(f"line {lineno}: n and k must be positive")
+        return lineno, value, tokens[2:]
 
-    lineno, tokens = header(0, "q")
-    try:
-        q = int(tokens[1])
-    except (IndexError, ValueError):
-        raise CodeFileError(f"line {lineno}: expected 'q <int>'") from None
+    lineno, q, rest = header(0, "q")
     if q > MAX_FIELD_SIZE:
         raise CodeFileError(f"line {lineno}: field size {q} exceeds {MAX_FIELD_SIZE}")
     modulus = None
-    if len(tokens) > 2:
-        if tokens[2] != "modulus":
+    if rest:
+        if rest[0] != "modulus":
             raise CodeFileError(f"line {lineno}: expected 'modulus' after q, got "
-                                f"{tokens[2]!r}")
+                                f"{rest[0]!r}")
         try:
-            modulus = [int(t) for t in tokens[3:]]
+            modulus = [int(t) for t in rest[1:]]
         except ValueError:
             raise CodeFileError(f"line {lineno}: modulus coefficients must be "
                                 "integers") from None
         if not modulus:
             raise CodeFileError(f"line {lineno}: empty modulus")
-
-    def int_header(pos: int, key: str) -> int:
-        lineno, tokens = header(pos, key)
-        if len(tokens) != 2:
-            raise CodeFileError(f"line {lineno}: expected '{key} <int>'")
-        try:
-            value = int(tokens[1])
-        except ValueError:
-            raise CodeFileError(f"line {lineno}: expected '{key} <int>'") from None
-        if value < 1:
-            raise CodeFileError(f"line {lineno}: n and k must be positive")
-        return value
-
-    n = int_header(1, "n")
-    k = int_header(2, "k")
+    n = header(1, "n")[1]
+    k = header(2, "k")[1]
 
     try:
         field = field_for_order(q, modulus)

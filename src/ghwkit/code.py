@@ -54,8 +54,7 @@ class LinearCode:
         if res.rank == 0:
             raise CodeValidationError("generator has rank 0; a code needs k >= 1")
         g = res.reduced
-        n = g.ncols
-        zero_cols = tuple(j for j in range(n) if all(row[j] == 0 for row in g.rows))
+        zero_cols = tuple(j for j, col in enumerate(g.columns()) if not any(col))
         if zero_cols and not _allow_zero_columns:
             cols = ", ".join(str(j + 1) for j in zero_cols)
             raise CodeValidationError(
@@ -63,7 +62,7 @@ class LinearCode:
                 "every coordinate must be in the support of some codeword"
             )
         self.field = field
-        self.n = n
+        self.n = g.ncols
         self.k = res.rank
         self.generator = g
         self.check = g.nullspace()

@@ -22,6 +22,8 @@ produce bit-identical codes on every platform.
 
 from __future__ import annotations
 
+import math
+
 from .algebra import MAX_FIELD_SIZE, Field, _prime_factors
 from .code import LinearCode
 
@@ -51,15 +53,11 @@ def field_for_order(q: int, modulus=None) -> Field:
         raise ValueError(f"field size must be >= 2, got {q}")
     if q > MAX_FIELD_SIZE:
         raise ValueError(f"field size {q} exceeds {MAX_FIELD_SIZE}")
-    p = _prime_factors(q)[0]
-    m = 0
-    rest = q
-    while rest % p == 0:
-        rest //= p
-        m += 1
-    if rest != 1:
+    factors = _prime_factors(q)
+    if len(factors) != 1:
         raise ValueError(f"{q} is not a prime power")
-    return Field(p, m, modulus)
+    (p,) = factors
+    return Field(p, round(math.log(q, p)), modulus)  # exact: q = p^m <= 2^16
 
 
 def _subgroup(field: Field, order: int) -> list[int]:

@@ -17,7 +17,7 @@ matrix of the dual code, and Wei duality (V. K. Wei, IEEE Trans. IT 37(5),
 1991) reads the hierarchy of C off the dual one as {1..n} minus
 {n+1 - d_j(C⊥)}.  Witness subsets always come from H: on the G side, one
 search on H at each size d_i with need i.  `check_wei_duality` pins one
-sweep to each side, so it never compares a sweep with itself.
+sweep to each side under one deadline, and never compares a sweep with itself.
 
 A caller that knows the dual distance d_1(C⊥) passes it in: the locality
 search of `ghwkit.bounds.certify_optimal` finds it as the smallest locality
@@ -370,10 +370,12 @@ def check_wei_duality(code: LinearCode, *, limit_n: int = DEFAULT_LIMIT_N,
                       time_limit: float | None = None) -> DualityReport:
     """Verify {d_i} = {1..n} \\ {n+1-d_j of the dual} and the gap form
     d_i = (n+1) - g_{k-i+1} of the dual, both exactly, between a sweep of H
-    and a sweep of G."""
+    and a sweep of G, both under one `time_limit`."""
     n, k = code.n, code.k
-    primal = primal_hierarchy_values(code, limit_n=limit_n, time_limit=time_limit)
-    dual_values = dual_hierarchy_values(code, limit_n=limit_n, time_limit=time_limit)
+    deadline = _guard(code, limit_n, time_limit)
+    primal = tuple(_sweep_hierarchy(code.check, k, side="check", deadline=deadline)[0])
+    dual_values = tuple(_sweep_hierarchy(code.generator, n - k, side="generator",
+                                         deadline=deadline)[0])  # () when k = n
     violations: list[str] = []
 
     mirrored = _wei_complement(n, dual_values)

@@ -9,7 +9,8 @@ pass settles every still-open coordinate j with the first T whose span holds
 G_j, so T + {j} is the lexicographically first minimal support; a minimal T
 is independent, as a dependent one would contain a smaller cover.  A zero
 column G_j gives locality 0.  A coordinate whose check-matrix column is zero
-(e_j is a codeword) lies in no dual codeword support and raises.
+(e_j is a codeword) lies in no dual codeword support, and no pass could
+settle it: each call refuses it, or `is_lrc` answers False, before searching.
 
 A pass visits about C(n, s) sets for covers of size s, so the search is
 slow on high-rate codes, whose covers are large and whose duals small.  Once
@@ -59,7 +60,7 @@ def _guard(code: LinearCode, *, covered: bool = False) -> None:
 
 def _uncoverable(code: LinearCode) -> list[int]:
     """Coordinates in no dual codeword support: the zero columns of H."""
-    return [j for j in range(code.n) if not any(row[j] for row in code.check.rows)]
+    return [j for j, col in enumerate(code.check.columns()) if not any(col)]
 
 
 def _dual_supports(code: LinearCode, cap: int, search: _Search) -> list[tuple[int, ...] | None]:
@@ -110,10 +111,9 @@ def _cover_search(code: LinearCode, cap: int, deadline: float | None = None,
     n = code.n
     search = _Search(code.generator, "locality search", deadline,
                      limit=code.field.q ** (n - code.k) // _WORDS_PER_NODE)
-    uncoverable = set(_uncoverable(code))
     supports = [(j,) if j in code.zero_coordinates else None for j in range(n)]
     uncovered = {j: search.cols[j] for j, s in enumerate(supports)
-                 if s is None and j not in uncoverable and only in (None, j)}
+                 if s is None and only in (None, j)}
     size = 0
     try:
         while uncovered and size < cap:
@@ -156,11 +156,10 @@ def coordinate_locality(code: LinearCode, j: int) -> int:
     _guard(code)
     if not 0 <= j < code.n:
         raise IndexError(f"coordinate {j} out of range")
-    subset = _cover_search(code, code.k, only=j)[j]
-    if subset is None:
+    if j in _uncoverable(code):
         raise UncoverableCoordinateError(
             f"coordinate {j + 1} lies in no dual codeword support")
-    return len(subset) - 1
+    return len(_cover_search(code, code.k, only=j)[j]) - 1
 
 
 def locality(code: LinearCode, *, _deadline: float | None = None) -> LocalityProfile:
@@ -190,6 +189,6 @@ def covering_rows(code: LinearCode, r: int) -> list[tuple[int, ...]]:
 
 def is_lrc(code: LinearCode, r: int) -> bool:
     """True iff every coordinate has locality <= r."""
-    if code.k >= code.n or r < 1:
+    if code.k >= code.n or r < 1 or _uncoverable(code):
         return False
     return None not in _cover_search(code, r)

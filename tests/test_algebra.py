@@ -77,6 +77,10 @@ class TestFieldConstruction:
         assert not is_irreducible([1, 0, 1], 2)
         assert is_irreducible([0, 1], 2)  # x itself, degree 1
 
+    def test_is_irreducible_refuses_constants_and_non_monic(self):
+        assert not is_irreducible([1], 2)  # degree 0
+        assert not is_irreducible([1, 1, 2], 3)  # 2x^2 + x + 1: not monic
+
     def test_is_prime(self):
         assert [x for x in range(20) if is_prime(x)] == [2, 3, 5, 7, 11, 13, 17, 19]
 
@@ -362,3 +366,15 @@ def test_matrix_validation(gf2):
         Matrix(gf2, [])
     empty = Matrix(gf2, [], ncols=3)
     assert empty.nrows == 0 and empty.ncols == 3
+
+
+def test_equal_matrices_hash_equal(gf2):
+    """The reduced forms of two spanning sets of one space are one Matrix:
+    equal, hashed equal and one set element; a zero-row matrix is equal only
+    at the same width."""
+    a = Matrix(gf2, [[1, 1, 0], [0, 1, 1]]).rref().reduced
+    b = Matrix(gf2, ((1, 0, 1), (1, 1, 0), (0, 1, 1))).rref().reduced
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    empty = Matrix(gf2, [], ncols=3)
+    assert empty == Matrix(gf2, iter([]), ncols=3) != Matrix(gf2, [], ncols=2)
+    assert hash(empty) == hash(Matrix(gf2, (), ncols=3))

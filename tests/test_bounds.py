@@ -24,7 +24,7 @@ from ghwkit.bounds import (
     prop2_bound,
     singleton_like_bound,
 )
-from ghwkit.algebra import Field
+from ghwkit.algebra import Field, Matrix
 from ghwkit.code import LinearCode
 from ghwkit.constructions import random_code, reed_solomon, tamo_barg
 from ghwkit.ghw import (
@@ -485,11 +485,19 @@ def _pair_code():
     (lambda: Field(2, 0), ValueError, "extension degree must be >= 1"),
     (lambda: Field(2, 2, modulus=[1, 2, 1]), ValueError, r"must lie in \[0, p\)"),
     (lambda: reed_solomon(7, 3, 4), ValueError, "need 1 <= k <= n"),
+    (lambda: tamo_barg(13, 12, 6, 0), ValueError, "locality parameter must be >= 1"),
+    (lambda: tamo_barg(13, 12, 13, 3), ValueError, "need 1 <= k <= n"),
+    (lambda: Matrix(Field(2), [[1, 0]], ncols=3), ValueError, "ncols does not match row length"),
+    (lambda: Matrix(Field(2), [[1, 0]]).left_mul_vector((1, 1)), ValueError,
+     "vector length does not match row count"),
+    (lambda: certify_optimal(_pair_code()).verdict("nope"), KeyError, "nope"),
 ], ids=["covering-rows-r0", "saturation-i1", "saturation-past-end", "gap-lower-r0",
         "optimal-dual-k/r", "dual-lower-i0", "dual-lower-past-end", "gap-upper-past-k",
         "primal-lower-i0", "d-opt-q1", "oracle-i0", "oracle-subspace-cap",
         "hierarchy-not-increasing", "hierarchy-wrong-gaps", "field-degree-0",
-        "modulus-coefficient-p", "reed-solomon-k-above-n"])
+        "modulus-coefficient-p", "reed-solomon-k-above-n", "tamo-barg-r0",
+        "tamo-barg-k-above-n", "matrix-ncols-mismatch", "left-mul-length",
+        "unknown-verdict"])
 def test_refusals(call, error, match):
     with pytest.raises(error, match=match):
         call()

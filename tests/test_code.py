@@ -44,6 +44,12 @@ class TestConstruction:
         code = LinearCode(gf2, [[1, 1, 0, 0], [0, 0, 1, 1], [1, 1, 1, 1]])
         assert code.k == 2
 
+    def test_spanning_sets_of_one_code_are_one_code(self, gf2):
+        a = LinearCode(gf2, [[1, 1, 0, 0], [0, 0, 1, 1]])
+        b = LinearCode(gf2, [[1, 1, 1, 1], [0, 0, 1, 1], [1, 1, 0, 0]])
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != LinearCode(gf2, [[1, 0, 1, 0], [0, 1, 0, 1]])
+
     def test_field_mismatch(self, gf2, gf13):
         m = Matrix(gf13, [[1, 2]])
         with pytest.raises(CodeValidationError):

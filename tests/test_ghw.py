@@ -400,6 +400,30 @@ def test_wei_duality_check_sweeps_both_sides(monkeypatch, k):
     assert swept[0] is code.check and swept[1] is code.generator
 
 
+@pytest.mark.parametrize("k", [4, 10])
+def test_wei_duality_check_runs_both_sweeps_under_one_deadline(monkeypatch, k):
+    """One guard per call: both sweeps share its deadline, so `time_limit`
+    bounds the whole check.  A full-space code (k = n) keeps its empty dual."""
+    code = random_code(2, 10, k, seed=3)
+    guards, deadlines = [], []
+    guard, sweep = ghw_module._guard, ghw_module._sweep_hierarchy
+
+    def guard_spy(*args):
+        guards.append(args)
+        return guard(*args)
+
+    def sweep_spy(check, dims, **kwargs):
+        deadlines.append(kwargs["deadline"])
+        return sweep(check, dims, **kwargs)
+
+    monkeypatch.setattr(ghw_module, "_guard", guard_spy)
+    monkeypatch.setattr(ghw_module, "_sweep_hierarchy", sweep_spy)
+    report = check_wei_duality(code, time_limit=60)
+    assert report.holds and len(guards) == 1
+    assert len(deadlines) == 2 and deadlines[0] == deadlines[1] is not None
+    assert report.dual == (() if k == code.n else dual_hierarchy_values(code))
+
+
 @pytest.mark.parametrize("n, k, side", [(10, 4, "generator"), (10, 5, "check"),
                                         (10, 6, "check")])
 def test_weight_hierarchy_sweeps_the_side_with_fewer_rows(monkeypatch, n, k, side):

@@ -77,6 +77,32 @@ class TestLocality:
             locality(code)
 
 
+@pytest.mark.parametrize("call, refused", [
+    (locality, True),
+    (lambda code: covering_rows(code, 2), True),
+    (lambda code: is_lrc(code, 2), False),
+    (lambda code: coordinate_locality(code, 0), True),
+], ids=["locality", "covering-rows", "is-lrc", "coordinate-locality"])
+def test_one_zero_column_scan_per_call(monkeypatch, gf2, call, refused):
+    """Each call scans H for zero columns once, and answers a coordinate in
+    no dual codeword support before any search."""
+    scans, searches = [], []
+    scan, search = locality_module._uncoverable, locality_module._cover_search
+    monkeypatch.setattr(locality_module, "_uncoverable",
+                        lambda code: scans.append(code) or scan(code))
+    monkeypatch.setattr(locality_module, "_cover_search",
+                        lambda *args, **kwargs: searches.append(args) or search(*args, **kwargs))
+    call(LinearCode(gf2, [[1, 0, 1], [0, 1, 1]]))  # locality 2 at every coordinate
+    assert len(scans) == len(searches) == 1
+    uncoverable = LinearCode(gf2, [[1, 0, 0], [0, 1, 1]])  # e_1 is a codeword
+    if refused:
+        with pytest.raises(UncoverableCoordinateError):
+            call(uncoverable)
+    else:
+        assert call(uncoverable) is False
+    assert len(scans) == 2 and len(searches) == 1
+
+
 class TestCoveringRows:
     def test_pair_code(self, pair_code):
         assert covering_rows(pair_code, 1) == [(1, 1, 0, 0), (0, 0, 1, 1)]

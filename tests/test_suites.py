@@ -1,8 +1,10 @@
 import re
 from dataclasses import replace
 
+import pytest
+
 from ghwkit import bounds, suites
-from ghwkit.suites import run_lemmas, run_optimal_rk, run_optimal_rnk, run_props
+from ghwkit.suites import run_lemmas, run_optimal_rk, run_optimal_rnk, run_props, run_suite
 
 
 def test_lemmas_searches_each_code_locality_once(monkeypatch):
@@ -78,3 +80,70 @@ def test_distance_claims_failures_are_recorded(monkeypatch):
     props, rk = run_props(count=4), run_optimal_rk()
     assert props.failures and all(": prop3_mu violated " in f for f in props.failures)
     assert len(rk.failures) == 3 and all(": prop3_mu violated " in f for f in rk.failures)
+
+
+# The label of a suite code: a seeded random code or a structured fixture.
+_LABEL = r"^(\(q=\d+,n=\d+,k=\d+,seed=\d+\)|tamo-barg\(\S+\)): "
+
+
+def _shifted(real):
+    return lambda code, **kwargs: tuple(v + 1 for v in real(code, **kwargs))
+
+
+def _reported(**changes):
+    def fake(real):
+        def patched(code, **kwargs):
+            report = real(code, **kwargs)
+            return replace(report, **{name: change(getattr(report, name))
+                                      for name, change in changes.items()})
+        return patched
+    return fake
+
+
+def _no_mu_rho(real):
+    def raising(*args, **kwargs):
+        raise RuntimeError("mu != rho + 1")
+    return raising
+
+
+def _untight(real):
+    def claims(code, d, dual_hierarchy, r=None):
+        out = real(code, d, dual_hierarchy, r)
+        status, index, payload = out["prop1"]
+        out["prop1"] = (status, index, {**payload, "bound": payload["bound"] + 1})
+        return out
+    return claims
+
+
+@pytest.mark.parametrize("name, fake, suite, failure", [
+    ("check_wei_duality", _reported(holds=lambda _: False, violations=lambda _: ("patched",)),
+     "duality", _LABEL + "patched$"),
+    ("primal_hierarchy_values", _shifted, "lemmas", _LABEL + "hierarchy .* != check-side sweep "),
+    ("dual_hierarchy_values", _shifted, "lemmas", _LABEL + "Wei-derived dual hierarchy .* != dual sweep "),
+    ("ghw_oracle", lambda real: lambda code, i: real(code, i) + 1, "oracle",
+     _LABEL + r"d_\d+ sweep=\d+ oracle=\d+$"),
+    ("distance_claims", _no_mu_rho, "duality", _LABEL + r"mu/rho identities: mu != rho \+ 1$"),
+    ("generalized_singleton_like_bound", lambda real: lambda *args: real(*args) + 1, "lemmas",
+     r"^thm1\(\S+\) != \S+ at \(n=\d+,k=\d+,[ri]=\d+\)$"),
+    ("certify_optimal", _reported(is_optimal=lambda _: False), "optimal-rk",
+     _LABEL + "fixture unavailable - did not certify distance-optimal$"),
+    ("certify_optimal", _reported(r=lambda r: r + 1), "optimal-rk",
+     _LABEL + r"computed locality \d+ != \d+$"),
+    ("certify_optimal", _reported(d=lambda d: d + 1), "optimal-rnk",
+     _LABEL + r"d=\d+ != \d+ from the distance bound$"),
+    ("distance_claims", _untight, "props", r"^\(12,6,3\): prop1 not tight: "),
+    (None, None, "nope", None),
+], ids=["duality-report", "lemmas-primal-sweep", "lemmas-dual-sweep", "oracle",
+        "mu-rho", "thm1-formula", "fixture-not-optimal", "fixture-locality",
+        "fixture-distance", "props-tightness", "unknown-suite"])
+def test_every_cross_check_can_fail(monkeypatch, name, fake, suite, failure):
+    """Each cross-check of a suite fails it once its value is patched off,
+    and each failure line names the code (or the formula's parameters)."""
+    if name is None:
+        with pytest.raises(ValueError, match="unknown suite 'nope'; choose from "):
+            run_suite(suite)
+        return
+    monkeypatch.setattr(suites, name, fake(getattr(suites, name)))
+    (result,) = run_suite(suite, count=2)
+    assert not result.ok
+    assert all(re.search(failure, f) for f in result.failures), result.failures
