@@ -10,9 +10,23 @@ direct modular arithmetic.  One square-and-multiply serves `Field.pow` and
 that generator search.
 
 All row reduction goes through `reduce_against`, which reduces one vector
-against a pivot basis: the subset search of `ghwkit.ghw` grows its bases
-with it, and `_echelon`, behind `Matrix.rref`, `rank`, `nullspace` and
+against a pivot basis, and `scale`, which multiplies a vector by a scalar:
+the subset search of `ghwkit.ghw` grows its bases with them, and
+`_echelon`, behind `Matrix.rref`, `rank`, `nullspace` and
 `nullspace_within`, inserts each row into a reduced-row-echelon basis.
+
+Both run on two q x q tables when q <= TABLE_MAX_Q = 256: `Field.mul_rows`,
+row c holding c*y at y, and `Field.sub_rows`, row x holding x-z at z.  So a
+row operation fetches one product row per basis vector and then costs two
+list lookups per entry, where the closures `Field.mul` and `Field.sub` cost
+two calls, exp/log lookups or base-p digit loops.  The tables are filled
+straight from exp/log (extension fields) or modular arithmetic (prime
+fields), subtraction digit by digit (XOR in characteristic 2), never through
+the closures; at q = 256 they hold about 1 MB.  Above 256 they are not
+built: two tables of q^2 entries would hold 2 x 10^6 Python ints at
+q = 1024 and 8.6 x 10^9 at 2^16, so both functions use the closures there.
+Only these two functions choose between tables and closures; their callers
+never look at q.
 """
 
 from __future__ import annotations
@@ -21,6 +35,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 MAX_FIELD_SIZE = 1 << 16
+TABLE_MAX_Q = 256
 
 
 def _prime_factors(x: int) -> list[int]:
@@ -59,6 +74,20 @@ def _power(mul: Callable[[int, int], int], a: int, e: int) -> int:
         a = mul(a, a)
         e >>= 1
     return r
+
+
+def _sub_rows(p: int, m: int) -> list[list[int]]:
+    """Row x, entry z: x - z, digit by digit mod p on the base-p digits of
+    the indices (XOR when p = 2)."""
+    q = p**m
+    if p == 2:
+        return [[x ^ z for z in range(q)] for x in range(q)]
+    digit = [list(range(a, -1, -1)) + list(range(p - 1, a, -1)) for a in range(p)]
+    rows = digit
+    for _ in range(m - 1):  # one more digit below the others: index = low + p * high
+        rows = [[d + p * h for h in high for d in digit[low]]
+                for high in rows for low in range(p)]
+    return rows
 
 
 def _smallest_generator(q: int, mul: Callable[[int, int], int]) -> int:
@@ -135,7 +164,9 @@ class Field:
         when omitted the lexicographically smallest monic irreducible is
         selected.
 
-    Instances are immutable after construction and safe to share.
+    For q <= TABLE_MAX_Q, `mul_rows[c][y]` is c*y and `sub_rows[x][z]` is
+    x - z; both are None above it.  Instances are immutable after
+    construction and safe to share.
     """
 
     def __init__(self, p: int, m: int = 1, modulus: Sequence[int] | None = None):
@@ -149,6 +180,8 @@ class Field:
         self.p = p
         self.m = m
         self.q = q
+        self.mul_rows: list[list[int]] | None = None
+        self.sub_rows = _sub_rows(p, m) if q <= TABLE_MAX_Q else None
         if m == 1:
             if modulus is not None:
                 raise ValueError("modulus only applies to extension fields (m > 1)")
@@ -186,6 +219,8 @@ class Field:
 
         self.inv = inv
         self._generator = _smallest_generator(p, self.mul)
+        if p <= TABLE_MAX_Q:
+            self.mul_rows = [[c * y % p for y in range(p)] for c in range(p)]
 
     def _init_extension(self) -> None:
         p, m, q = self.p, self.m, self.q
@@ -258,6 +293,10 @@ class Field:
 
         self.mul = mul
         self.inv = inv
+        if q <= TABLE_MAX_Q:
+            exp2 = exp + exp  # exp2[log a + log b] = a*b, no reduction mod q-1
+            self.mul_rows = [[0] * q] + [[0] + [exp2[lc + lb] for lb in log[1:]]
+                                         for lc in log[1:]]
 
     # -- generic operations ----------------------------------------------------
 
@@ -288,21 +327,40 @@ class Field:
 def reduce_against(vec: list[int], basis: Sequence[tuple[int, Sequence[int]]],
                    field: Field) -> int:
     """Reduce `vec` in place against `basis`, (pivot, vector) pairs with each
-    vector 0 before and 1 at its pivot and 0 at the pivots of the pairs
-    before it: sorted by pivot, each reduced against those before it, or a
-    full RREF (0 at every other pivot) in any order.  Returns the first
+    vector as long as `vec`, 0 before and 1 at its pivot and 0 at the pivots
+    of the pairs before it: sorted by pivot, each reduced against those
+    before it, or a full RREF (0 at every other pivot) in any order.  Returns the first
     nonzero position left, or -1 when `vec` lies in the span."""
-    sub, mul = field.sub, field.mul
-    for p, b in basis:
-        c = vec[p]
-        if c:
-            for t in range(p, len(b)):
-                if b[t]:
-                    vec[t] = sub(vec[t], mul(c, b[t]))
-    for t in range(len(vec)):
-        if vec[t]:
+    n, mul_rows, sub_rows = len(vec), field.mul_rows, field.sub_rows
+    if mul_rows is None:
+        sub, mul = field.sub, field.mul
+        for p, b in basis:
+            c = vec[p]
+            if c:
+                for t in range(p, n):
+                    if b[t]:
+                        vec[t] = sub(vec[t], mul(c, b[t]))
+    else:
+        for p, b in basis:
+            c = vec[p]
+            if c:
+                row = mul_rows[c]  # row[y] = c*y
+                for t in range(p, n):
+                    vec[t] = sub_rows[vec[t]][row[b[t]]]
+    for t, e in enumerate(vec):
+        if e:
             return t
     return -1
+
+
+def scale(c: int, vec: Sequence[int], field: Field) -> list[int]:
+    """c * vec as a new list."""
+    mul_rows = field.mul_rows
+    if mul_rows is None:
+        mul = field.mul
+        return [mul(c, e) for e in vec]
+    row = mul_rows[c]
+    return [row[e] for e in vec]
 
 
 def _echelon(rows: Iterable[Sequence[int]], field: Field) -> list[tuple[int, list[int]]]:
@@ -317,8 +375,7 @@ def _echelon(rows: Iterable[Sequence[int]], field: Field) -> list[tuple[int, lis
         if p < 0:
             continue
         if vec[p] != 1:
-            c = field.inv(vec[p])
-            vec = [field.mul(c, e) for e in vec]
+            vec = scale(field.inv(vec[p]), vec, field)
         for _, b in basis:
             if b[p]:
                 reduce_against(b, ((p, vec),), field)

@@ -23,6 +23,7 @@ produce bit-identical codes on every platform.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 from .algebra import MAX_FIELD_SIZE, Field, _prime_factors
 from .code import LinearCode
@@ -48,7 +49,19 @@ class SplitMix64:
 
 
 def field_for_order(q: int, modulus=None) -> Field:
-    """Field of order q = p^m; the prime-power shape is derived from q."""
+    """Field of order q = p^m; the prime-power shape is derived from q.
+
+    Equal (q, modulus) give one shared Field, a list modulus equal to a
+    tuple one, so its tables are built once per process, not once per
+    parsed file.  A bad call raises every time.
+    """
+    return _shared_field(q, None if modulus is None else tuple(modulus))
+
+
+# Bounded: a Field holds up to 1.1 MB of row tables at q <= 256 and 5 MB of
+# exp/log tables at q = 2^16.
+@lru_cache(maxsize=16)
+def _shared_field(q: int, modulus: tuple[int, ...] | None) -> Field:
     if q < 2:
         raise ValueError(f"field size must be >= 2, got {q}")
     if q > MAX_FIELD_SIZE:

@@ -29,11 +29,13 @@ searches.  It reduces each candidate column against a pivot basis of the
 chosen ones, over either of two column representations: over GF(2) each
 column is packed into an int and reduced by XOR (the packing follows M4RI:
 Albrecht, Bard, Hart, "Algorithm 898", ACM TOMS 37(1), 2010); every other
-field keeps element lists and reduces them with `reduce_against`.  Both
-visit the same nodes.  In sweep mode it returns the first subset of size s
-whose excess reaches need.  In covers mode, for the cover search of
-`ghwkit.locality`, it walks every independent subset of size s once and
-settles each open column with the first one whose span holds it.
+field keeps element lists, reduces them with `reduce_against` and scales
+them to 1 at their pivot with `scale` (both on the row tables of
+`ghwkit.algebra` when q <= 256).  Both visit the same nodes.  In sweep
+mode it returns the first subset of size s whose excess reaches need.  In
+covers mode, for the cover search of `ghwkit.locality`, it walks every
+independent subset of size s once and settles each open column with the
+first one whose span holds it.
 
 Each search, one per matrix and phase, keeps its state on a `_Search`: the
 columns in the DFS's representation, the nodes its calls have visited, a
@@ -54,7 +56,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Sequence
 
-from .algebra import Matrix, reduce_against
+from .algebra import Matrix, reduce_against, scale
 from .code import DEFAULT_LIMIT_N, LinearCode, SubcodeWitness
 
 DEFAULT_ORACLE_LIMIT = 10**6
@@ -128,7 +130,7 @@ def _subset_dfs(search: _Search, s: int, need: int, uncovered: dict | None = Non
     alarm = search.alarm(ticks)
     chosen, settled = [], {}
     basis: list = []  # (pivot, reduced column), each 0 at the pivots before it
-    mul, inv = fld.mul, fld.inv
+    inv = fld.inv
 
     def key(col):
         # The key of `col` reduced against `basis`; None when it is in the span.
@@ -141,8 +143,7 @@ def _subset_dfs(search: _Search, s: int, need: int, uncovered: dict | None = Non
         piv = reduce_against(vec, basis, fld)
         if piv < 0:
             return None
-        c = inv(vec[piv])
-        return tuple([mul(c, e) for e in vec])
+        return tuple(scale(inv(vec[piv]), vec, fld))
 
     def extend(start: int, remaining: int) -> bool:
         nonlocal ticks, alarm
@@ -189,10 +190,8 @@ def _subset_dfs(search: _Search, s: int, need: int, uncovered: dict | None = Non
             else:
                 if packed:
                     piv = v & -v  # the pivot bit
-                else:
-                    c = inv(v[piv])
-                    if c != 1:
-                        v = [mul(c, e) for e in v]
+                elif v[piv] != 1:
+                    v = scale(inv(v[piv]), v, fld)
                 basis.append((piv, v))
                 if extend(j + 1, remaining - 1):
                     return True
@@ -359,8 +358,6 @@ def dual_hierarchy_values(code: LinearCode, *, limit_n: int = DEFAULT_LIMIT_N,
                           time_limit: float | None = None) -> tuple[int, ...]:
     """Hierarchy of the dual code from a sweep of G, its check matrix;
     empty for a full-space code (k = n)."""
-    if code.k == code.n:
-        return ()
     values, _ = _sweep_hierarchy(code.generator, code.n - code.k, side="generator",
                                  deadline=_guard(code, limit_n, time_limit))
     return tuple(values)

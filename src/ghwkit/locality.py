@@ -26,10 +26,11 @@ from .code import CodeValidationError, LinearCode
 from .ghw import _OverBudget, _Search, _subset_dfs
 
 
-# One cover-pass node costs about as much as walking 2-10 dual codewords: in
-# pure Python (3.11, 2 vCPU) a node took 11 us on packed GF(2) columns and
-# 28-45 us on element lists over GF(3..16), and a walked word 4-9 us, on codes
-# like the benchmark's.  Changing the value would change which codes walk.
+# One cover-pass node costs about as much as walking 2-12 dual codewords: in
+# pure Python (3.11, 2 vCPU, CPU time) a node took 5-12 us on packed GF(2)
+# columns and 16-18 us (median per field) on element lists over GF(3..16),
+# and a walked word 1.4-3.9 us, on codes like the benchmark's.  Changing the
+# value would change which codes walk.
 _WORDS_PER_NODE = 4
 
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ghwkit.algebra import (
+    TABLE_MAX_Q,
     Field,
     Matrix,
     default_modulus,
@@ -143,6 +144,8 @@ def test_field_axioms_exhaustive(f):
             assert f.mul(a, f.inv(a)) == 1
     for a in elements:
         for b in elements:
+            assert f.mul_rows[a][b] == f.mul(a, b)
+            assert f.sub_rows[a][b] == f.sub(a, b)
             assert f.add(a, b) == f.add(b, a)
             assert f.mul(a, b) == f.mul(b, a)
             assert f.sub(a, b) == f.add(a, f.neg(b))
@@ -174,10 +177,18 @@ def test_multiplicative_generator_is_the_smallest(f):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_field_axioms_randomized_large(data):
+    """Field axioms on sampled triples; below the table bound (GF(251),
+    GF(256), GF(125)) the tables agree with the closures, above it (GF(1024))
+    there are none."""
     f = data.draw(st.sampled_from(LARGE_FIELDS))
     a = data.draw(st.integers(0, f.q - 1))
     b = data.draw(st.integers(0, f.q - 1))
     c = data.draw(st.integers(0, f.q - 1))
+    if f.q <= TABLE_MAX_Q:
+        assert f.mul_rows[a][b] == f.mul(a, b)
+        assert f.sub_rows[a][b] == f.sub(a, b)
+    else:
+        assert f.mul_rows is None and f.sub_rows is None
     assert f.add(a, b) == f.add(b, a)
     assert f.mul(a, b) == f.mul(b, a)
     assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
@@ -282,7 +293,8 @@ def test_matrix_properties(data):
         assert red.rref().reduced == red  # idempotent
 
 
-ELIMINATION_FIELDS = [Field(2), Field(3), Field(2, 2), Field(3, 2), Field(13), Field(2, 4)]
+ELIMINATION_FIELDS = [Field(2), Field(3), Field(2, 2), Field(3, 2), Field(13), Field(2, 4),
+                      Field(2, 8), Field(257)]
 
 
 @st.composite
@@ -311,19 +323,33 @@ def _degenerate_rows(draw):
 
 
 class _CountingField:
-    """A field that counts the arithmetic done through it."""
+    """A field that counts the arithmetic done through it: each call of an
+    operation and each row fetched from one of its tables."""
 
     def __init__(self, field):
         self.field, self.q, self.calls = field, field.q, 0
 
     def __getattr__(self, name):
         op = getattr(self.field, name)
+        if name in ("mul_rows", "sub_rows"):
+            return op and _CountingRows(self, op)
 
         def counted(*args):
             self.calls += 1
             return op(*args)
 
         return counted
+
+
+class _CountingRows:
+    """The rows of a table, counting each one fetched on a `_CountingField`."""
+
+    def __init__(self, counter, rows):
+        self.counter, self.rows = counter, rows
+
+    def __getitem__(self, i):
+        self.counter.calls += 1
+        return self.rows[i]
 
 
 @settings(max_examples=100, deadline=None)

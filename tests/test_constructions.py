@@ -26,6 +26,28 @@ class TestFieldForOrder:
         with pytest.raises(ValueError, match="not a prime power"):
             field_for_order(12)
 
+    def test_equal_orders_and_moduli_share_one_field(self):
+        assert field_for_order(16) is field_for_order(16)
+        assert field_for_order(257) is field_for_order(257)
+        gf4 = field_for_order(4, [1, 1, 1])
+        assert gf4 is field_for_order(4, (1, 1, 1)) is field_for_order(4, [1, 1, 1])
+        assert gf4 == field_for_order(4) and gf4.modulus == (1, 1, 1)
+        assert field_for_order(8, [1, 0, 1, 1]) is not field_for_order(8, [1, 1, 0, 1])
+
+    @pytest.mark.parametrize("args, match", [
+        ((12,), "not a prime power"),
+        ((1,), "must be >= 2"),
+        ((1 << 17,), "exceeds"),
+        ((4, [1, 0, 1]), "reducible"),
+        ((4, (1, 0, 1)), "reducible"),
+        ((4, [1, 1]), "monic of degree 2"),
+        ((5, [1, 1]), "only applies to extension fields"),
+    ])
+    def test_bad_calls_raise_every_time(self, args, match):
+        for _ in range(2):
+            with pytest.raises(ValueError, match=match):
+                field_for_order(*args)
+
 
 class TestTamoBarg:
     def test_reference_fixture_certifies(self, lrc_12_6_3):

@@ -37,6 +37,7 @@ class TestGhw:
         assert weight_hierarchy(full).values == (1, 2, 3, 4)
         for i in range(1, 5):
             assert ghw(full, i, with_witness=False)[0] == i
+        assert dual_hierarchy_values(full) == ()
 
     def test_reference_fixture_fourth_value(self, lrc_12_6_3):
         assert ghw(lrc_12_6_3, 4, with_witness=False)[0] == 10
@@ -269,6 +270,11 @@ def _field_columns(data, fld: Field, n: int) -> list[tuple[int, ...]]:
                      label="columns")
 
 
+# Both kinds of prime and extension field, and GF(257), the first field
+# above the bound on q for multiplication and subtraction tables.
+DFS_FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2), (13, 1), (2, 4), (257, 1)]
+
+
 def _searches(check: Matrix, limit: float = math.inf) -> list:
     """A new `_Search` over the columns of `check` for each representation
     `_subset_dfs` walks: element lists, and packed ints over GF(2)."""
@@ -283,10 +289,10 @@ def _searches(check: Matrix, limit: float = math.inf) -> list:
 @given(data=st.data())
 def test_kernels_return_the_first_subset_reaching_need(data):
     """In sweep mode, the DFS stops at the first lex subset whose excess
-    reaches need, at every size and every threshold, over GF(2), GF(3) and
-    GF(4), on both column representations.  On binary input both count the
-    same nodes, per call and on one count shared by every call."""
-    fld = Field(*data.draw(st.sampled_from([(2, 1), (3, 1), (2, 2)]), label="field"))
+    reaches need, at every size and every threshold, over each field of
+    `DFS_FIELDS`, on both column representations.  On binary input both
+    count the same nodes, per call and on one count shared by every call."""
+    fld = Field(*data.draw(st.sampled_from(DFS_FIELDS), label="field"))
     n = data.draw(st.integers(1, 9), label="n")
     cols = _field_columns(data, fld, n)
     check = Matrix(fld, [list(row) for row in zip(*cols)], ncols=n)
@@ -309,10 +315,10 @@ def test_covers_mode_settles_each_open_column_with_its_first_cover(data):
     """In covers mode, the DFS settles each open column j with the first lex
     independent S without j whose span holds column j, and leaves open those
     with none: at every size s and for every open set of columns with no
-    cover smaller than s, over GF(2), GF(3) and GF(4), on both column
+    cover smaller than s, over each field of `DFS_FIELDS`, on both column
     representations.  On binary input both count the same nodes, per call
     and on one count shared by every call."""
-    fld = Field(*data.draw(st.sampled_from([(2, 1), (3, 1), (2, 2)]), label="field"))
+    fld = Field(*data.draw(st.sampled_from(DFS_FIELDS), label="field"))
     n = data.draw(st.integers(1, 7), label="n")
     cols = _field_columns(data, fld, n)
     check = Matrix(fld, [list(row) for row in zip(*cols)], ncols=n)
